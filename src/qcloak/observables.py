@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, GeometryError, NearEigenvalueError
 from .media import LayeredMedium, RadialPotential
-from .propagate import AcousticSystem, default_l_max
+from .propagate import AcousticSystem, ChannelSolution, default_l_max
 from .special import spherical_bessel
 from .spectral import solve_channel
 
@@ -71,6 +72,30 @@ def _support_radius(system: System) -> float:
     return max(edges) if edges else 0.0
 
 
+def _far_field_k(system: System, E: float, r_match: float) -> float:
+    """Wavenumber k = sqrt(E) of the free exterior, after checking that E
+    propagates and that r_match lies outside the scattering support."""
+    if E <= 0.0:
+        raise DomainError(f"no propagating far field for E = {E} <= 0")
+    if r_match < _support_radius(system) - 1e-12:
+        raise GeometryError(
+            f"matching radius {r_match} lies inside the scattering support")
+    return math.sqrt(E)
+
+
+def _match_delta(sol: ChannelSolution, k: float, r_match: float) -> float:
+    """delta_l of one solved channel: tan(delta) = (k j' - g j)/(k y' - g y)
+    at x = k*r_match, with g the solution's log-derivative there."""
+    g = (sol.log_derivative_at(r_match) if r_match < sol.r_max
+         else sol.log_derivative_end)
+    s = spherical_bessel(sol.l, k * r_match)
+    num = k * s.jp - g * s.j
+    den = k * s.yp - g * s.y
+    if den == 0.0:
+        return math.copysign(math.pi / 2.0, num)
+    return math.atan(num / den)
+
+
 def phase_shifts(system: System, E: float, l_max: Optional[int] = None,
                  r_match: float = 3.0) -> PhaseShifts:
     """delta_l from matching the propagated log-derivative to free waves at
@@ -79,28 +104,14 @@ def phase_shifts(system: System, E: float, l_max: Optional[int] = None,
     Single-energy values use the principal branch; energy scans unwrap with
     `unwrap_phases`.
     """
-    if E <= 0.0:
-        raise DomainError(f"no propagating far field for E = {E} <= 0")
-    if r_match < _support_radius(system) - 1e-12:
-        raise GeometryError(
-            f"matching radius {r_match} lies inside the scattering support")
-    k = math.sqrt(E)
+    k = _far_field_k(system, E, r_match)
     if l_max is None:
         l_max = default_l_max(E)
-    x = k * r_match
-    deltas = []
-    for l in range(l_max + 1):
-        sol = solve_channel(system, l, E, want_norms=False)
-        g = (sol.log_derivative_at(r_match) if r_match < sol.r_max
-             else sol.log_derivative_end)
-        s = spherical_bessel(l, x)
-        num = k * s.jp - g * s.j
-        den = k * s.yp - g * s.y
-        if den == 0.0:
-            deltas.append(math.copysign(math.pi / 2.0, num))
-        else:
-            deltas.append(math.atan(num / den))
-    return PhaseShifts(E, k, tuple(deltas))
+    deltas = tuple(
+        _match_delta(solve_channel(system, l, E, want_norms=False), k,
+                     r_match)
+        for l in range(l_max + 1))
+    return PhaseShifts(E, k, deltas)
 
 
 def unwrap_phases(deltas: np.ndarray) -> np.ndarray:
@@ -183,6 +194,13 @@ def free_dn_spectrum(E: float, l_max: int, radius: float = 3.0) -> DNSpectrum:
     return DNSpectrum(E, tuple(lam))
 
 
+def _free_radial(l: int, delta: float, x) -> np.ndarray:
+    """Free-space channel factor e^{i delta}(cos delta j_l - sin delta y_l)
+    at x = k*r, vectorized over x."""
+    return cmath.exp(1j * delta) * (math.cos(delta) * spherical_jn(l, x)
+                                    - math.sin(delta) * spherical_yn(l, x))
+
+
 def plane_wave_field(system: System, E: float, points,
                      l_max: Optional[int] = None) -> np.ndarray:
     """Total wave for a unit incident plane wave, sampled at points.
@@ -190,7 +208,8 @@ def plane_wave_field(system: System, E: float, points,
     `points` is an (n, 2) array of (r, cos_theta) with theta measured from
     the incidence direction.  The channel radial factors are the regular
     solutions normalized so the far field is e^{ikz} + outgoing; points on a
-    shell boundary are evaluated from the inner side.
+    shell boundary are evaluated from the inner side.  Each channel is solved
+    once: the sampled solve also yields delta_l at r = 3.
     """
     pts = np.asarray(points, dtype=float)
     r = pts[:, 0]
@@ -199,33 +218,26 @@ def plane_wave_field(system: System, E: float, points,
         raise DomainError("points must have r >= 0 and |cos theta| <= 1")
     if l_max is None:
         l_max = default_l_max(E)
-    shifts = phase_shifts(system, E, l_max=l_max)
-    k = shifts.k
+    k = _far_field_k(system, E, 3.0)
 
     inside = r <= 3.0
     r_in = r[inside]
     order = np.argsort(r_in)
-    r_sorted = r_in[order]
+    sample_r = r_in[order] if r_in.size else None
+    x_out = k * r[~inside]
     pl = legendre_values(l_max, mu)
     psi = np.zeros(len(r), dtype=complex)
     for l in range(l_max + 1):
-        d = shifts.delta[l]
+        sol = solve_channel(system, l, E, want_norms=False,
+                            sample_r=sample_r)
+        d = _match_delta(sol, k, 3.0)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
-            sol = solve_channel(system, l, E, want_norms=False,
-                                sample_r=r_sorted)
-            u = np.empty_like(r_sorted)
+            u = np.empty_like(r_in)
             u[order] = sol.sample_u
-            s3 = spherical_bessel(l, k * sol.r_max)
-            r3 = cmath.exp(1j * d) * (math.cos(d) * s3.j
-                                      - math.sin(d) * s3.y)
-            radial[inside] = u * r3
-        if not inside.all():
-            # free-space continuation beyond the outer ball
-            for idx in np.flatnonzero(~inside):
-                s = spherical_bessel(l, k * r[idx])
-                radial[idx] = cmath.exp(1j * d) * (math.cos(d) * s.j
-                                                   - math.sin(d) * s.y)
+            radial[inside] = u * _free_radial(l, d, k * sol.r_max)
+        # free-space continuation beyond the outer ball
+        radial[~inside] = _free_radial(l, d, x_out)
         psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
     return psi
 

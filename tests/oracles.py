@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the package's propagation kernels:
 closed forms, scipy special functions, adaptive ODE integration, and a
-finite-difference tensor push-forward.
+finite-difference tensor push-forward.  The one differential reference,
+`scalar_exterior_field`, replays the package's former point-by-point
+exterior field on phase shifts the caller supplies.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -188,6 +191,32 @@ def free_dirichlet_root(n: int, l: int = 0, radius: float = 3.0) -> float:
                 return kr * kr
         prev = cur
     raise AssertionError("unreachable")
+
+
+def scalar_exterior_field(shifts, points) -> np.ndarray:
+    """Total plane-wave field at points beyond r = 3, one scalar
+    `qcloak.special.spherical_bessel` call per point and channel:
+
+        psi = sum_l i^l (2l+1) e^{i d_l}(cos d_l j_l(kr) - sin d_l y_l(kr)) P_l
+
+    `shifts` is a `PhaseShifts`; `points` holds (r, cos theta) rows, r > 3.
+    """
+    from qcloak.observables import legendre_values
+    from qcloak.special import spherical_bessel
+
+    pts = np.asarray(points, dtype=float)
+    assert np.all(pts[:, 0] > 3.0)
+    k = shifts.k
+    pl = legendre_values(shifts.l_max, pts[:, 1])
+    psi = np.zeros(len(pts), dtype=complex)
+    for l, d in enumerate(shifts.delta):
+        radial = np.empty(len(pts), dtype=complex)
+        for idx, r in enumerate(pts[:, 0]):
+            s = spherical_bessel(l, k * r)
+            radial[idx] = cmath.exp(1j * d) * (math.cos(d) * s.j
+                                               - math.sin(d) * s.y)
+        psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
+    return psi
 
 
 def free_core_neumann_root() -> float:

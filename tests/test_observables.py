@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcloak as qc
+from qcloak import observables
 from qcloak.errors import DomainError, GeometryError, NearEigenvalueError
 from qcloak.observables import legendre_values, optical_theorem_defect
 
@@ -176,6 +177,99 @@ class TestPlaneWaveField:
     def test_point_validation(self, free_medium):
         with pytest.raises(DomainError):
             qc.plane_wave_field(free_medium, E0, np.array([[1.0, 2.0]]))
+
+
+REFERENCE_C_INN = {"pass-through": -98.5, "neumann-trap": -71.45}
+
+
+@pytest.fixture(scope="module")
+def reference_systems(cloak_builder):
+    """(scenario, kind) -> the reference cloak as an acoustic system and as
+    its interface-matched gauge potential with the core attached."""
+    out = {}
+    for scenario, c_inn in REFERENCE_C_INN.items():
+        acoustic = cloak_builder(1.005, 50, c_inn)
+        out[scenario, "acoustic"] = acoustic
+        out[scenario, "gauge"] = qc.attach_core(
+            qc.gauge_potential(acoustic.medium, E0), acoustic.core)
+    return out
+
+
+class TestPlaneWaveFieldExterior:
+    """The vectorized free-space continuation against the scalar path."""
+
+    @pytest.mark.parametrize("kind", ["acoustic", "gauge"])
+    @pytest.mark.parametrize("scenario", sorted(REFERENCE_C_INN))
+    @pytest.mark.parametrize("l_max", [None, 30])
+    def test_matches_scalar_oracle(self, reference_systems, scenario, kind,
+                                   l_max):
+        system = reference_systems[scenario, kind]
+        # r in (3, 6], with r = 6 itself and the first float past 3
+        rng = np.random.default_rng(3)
+        r = np.concatenate([6.0 - rng.uniform(0.0, 3.0, 40),
+                            [np.nextafter(3.0, 4.0), 6.0, 6.0]])
+        mu = np.concatenate([rng.uniform(-1.0, 1.0, 40), [1.0, 1.0, -1.0]])
+        pts = np.column_stack([r, mu])
+        psi = qc.plane_wave_field(system, E0, pts, l_max=l_max)
+        shifts = qc.phase_shifts(system, E0, l_max=l_max)
+        ref = oracles.scalar_exterior_field(shifts, pts)
+        assert np.max(np.abs(psi - ref)) <= 1e-12
+
+
+class TestPlaneWaveFieldSolvesOnce:
+    L_MAX = 12
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Record every channel solve and every matched delta_l made through
+        the observables module."""
+        solves, deltas = [], []
+        solve, match = observables.solve_channel, observables._match_delta
+
+        def spy_solve(system, l, E, **kw):
+            solves.append((l, kw.get("sample_r") is not None))
+            return solve(system, l, E, **kw)
+
+        def spy_match(sol, k, r_match):
+            deltas.append(match(sol, k, r_match))
+            return deltas[-1]
+
+        monkeypatch.setattr(observables, "solve_channel", spy_solve)
+        monkeypatch.setattr(observables, "_match_delta", spy_match)
+        return solves, deltas
+
+    @pytest.mark.parametrize("where,sampled", [
+        ("mixed", True), ("interior", True), ("exterior", False)])
+    def test_one_solve_per_channel(self, cloak_builder, spies, where,
+                                   sampled):
+        system = cloak_builder(1.005, 50, -98.5)
+        expected = qc.phase_shifts(system, E0, l_max=self.L_MAX).delta
+        solves, deltas = spies
+        solves.clear()
+        deltas.clear()
+        rng = np.random.default_rng(11)
+        lo, hi = {"mixed": (0.0, 6.0), "interior": (0.0, 3.0),
+                  "exterior": (3.01, 6.0)}[where]
+        pts = np.column_stack([rng.uniform(lo, hi, 30),
+                               rng.uniform(-1.0, 1.0, 30)])
+        qc.plane_wave_field(system, E0, pts, l_max=self.L_MAX)
+        assert solves == [(l, sampled) for l in range(self.L_MAX + 1)]
+        assert tuple(deltas) == expected
+
+    def test_rejects_nonpropagating_energy(self, free_medium):
+        pts = np.array([[1.0, 0.5], [4.0, -0.5]])
+        for E in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                qc.plane_wave_field(free_medium, E, pts)
+
+    def test_rejects_support_beyond_the_outer_ball(self, cloak_builder,
+                                                   monkeypatch):
+        # every public constructor keeps the support inside r = 3, so the
+        # support is widened here to reach the check
+        monkeypatch.setattr(observables, "_support_radius", lambda s: 3.5)
+        pts = np.array([[1.0, 0.5], [4.0, -0.5]])
+        with pytest.raises(GeometryError):
+            qc.plane_wave_field(cloak_builder(1.05, 16), E0, pts)
 
 
 class TestLegendre:
