@@ -1,19 +1,7 @@
-import os
-
 from setuptools import setup, Extension
 
 # The compiled kernel is optional: the package falls back to the pure-Python
 # twin (qcloak._kernel_py) when the extension is absent or fails to build.
-ext_modules = []
-if os.path.exists("src/qcloak/_kernel.pyx"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("qcloak._kernel", ["src/qcloak/_kernel.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("qcloak._kernel", ["src/qcloak/_kernel.c"], optional=True),
+])

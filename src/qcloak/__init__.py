@@ -39,7 +39,6 @@ from .propagate import (
     ChannelSolution,
     KERNEL_BACKEND,
     default_l_max,
-    kernel_backends,
     propagate_acoustic,
     propagate_schrodinger,
     solve_core_channel,

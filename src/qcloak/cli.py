@@ -303,6 +303,21 @@ def _write_slice(outdir: Path, manifest: dict, name: str, x, z, values):
     write_table(outdir / name, manifest, ["x", "z", "re_psi", "im_psi"], rows)
 
 
+def _write_mode(outdir: Path, manifest: dict, cfg: ExperimentConfig,
+                system, l: int, E: float):
+    """Tables of the channel-l mode just above E: its radial profile on the
+    segment and u(r) P_l(cos theta) on the slice."""
+    r = np.linspace(0.0, 3.0, cfg.segment_samples)
+    u = observables.radial_mode(system, l, E + 1e-9, r)
+    write_table(outdir / "mode_segment.tsv", manifest, ["r", "u"],
+                list(zip(r, u)))
+    spts, x, z = _slice_points(cfg.slice_samples)
+    uu = observables.radial_mode(system, l, E + 1e-9, np.asarray(spts[:, 0]))
+    pl = observables.legendre_values(l, spts[:, 1])[l]
+    write_table(outdir / "mode_slice.tsv", manifest, ["x", "z", "psi"],
+                list(zip(x, z, uu * pl)))
+
+
 def cmd_field_map(cfg: ExperimentConfig, outdir: Path,
                   kind: str = "segment") -> dict:
     cfg.validate()
@@ -405,17 +420,7 @@ def cmd_scenario(cfg: ExperimentConfig, outdir: Path, name: str) -> dict:
         pole = best.fitted_pole
         E_mode = pole.E if pole is not None else best.E_peak
         l_mode = best.l
-        r = np.linspace(0.0, 3.0, cfg.segment_samples)
-        u = observables.radial_mode(system, l_mode, E_mode + 1e-9, r)
-        write_table(outdir / "mode_segment.tsv", manifest, ["r", "u"],
-                    list(zip(r, u)))
-        spts, x, z = _slice_points(cfg.slice_samples)
-        uu = observables.radial_mode(system, l_mode, E_mode + 1e-9,
-                                     np.asarray(spts[:, 0]))
-        pl = observables.legendre_values(l_mode, spts[:, 1])[l_mode]
-        write_table(outdir / "mode_slice.tsv", manifest,
-                    ["x", "z", "psi"],
-                    list(zip(x, z, uu * pl)))
+        _write_mode(outdir, manifest, cfg, system, l_mode, E_mode)
         report.update({
             "almost_trapped": bool(best.amplification >= TRAP_AMPLIFICATION
                                    and pole is not None
@@ -435,16 +440,7 @@ def cmd_scenario(cfg: ExperimentConfig, outdir: Path, name: str) -> dict:
         interior = [p for p in found if p.kind == "interior"]
         if interior:
             pick = min(interior, key=lambda p: abs(p.E - cfg.E))
-            r = np.linspace(0.0, 3.0, cfg.segment_samples)
-            u = observables.radial_mode(system, pick.l, pick.E + 1e-9, r)
-            write_table(outdir / "mode_segment.tsv", manifest, ["r", "u"],
-                        list(zip(r, u)))
-            spts, x, z = _slice_points(cfg.slice_samples)
-            uu = observables.radial_mode(system, pick.l, pick.E + 1e-9,
-                                         np.asarray(spts[:, 0]))
-            pl = observables.legendre_values(pick.l, spts[:, 1])[pick.l]
-            write_table(outdir / "mode_slice.tsv", manifest,
-                        ["x", "z", "psi"], list(zip(x, z, uu * pl)))
+            _write_mode(outdir, manifest, cfg, system, pick.l, pick.E)
             report.update({
                 "almost_trapped": True,
                 "E_mode": pick.E,

@@ -1,8 +1,11 @@
 """Per-channel radial propagation through layered media and potentials.
 
-Selects the compiled kernel (`qcloak._kernel`) when available, else the
-pure-Python twin; set QCLOAK_PURE_PYTHON=1 to force the fallback.  Both
-expose the same `propagate`/`shell_transfer` API and are interchangeable.
+Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
+source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
+importable, else the pure-Python twin `qcloak._kernel_py`; set
+QCLOAK_PURE_PYTHON=1 to force the fallback.  Both expose the same
+`propagate`/`shell_transfer` API and are interchangeable; the twin is also
+the reference the compiled kernel is tested against.
 """
 
 from __future__ import annotations
@@ -28,14 +31,6 @@ KERNEL_BACKEND = "compiled" if _impl is not _kernel_py else "python"
 
 _TINY = 1e-300
 L_MAX_HARD = 60
-
-
-def kernel_backends():
-    """(active, available) kernel module names, for benchmarks and tests."""
-    avail = ["python"]
-    if _impl is not _kernel_py:
-        avail.append("compiled")
-    return KERNEL_BACKEND, avail
 
 
 def default_l_max(E: float, radius: float = 3.0, margin: int = 10) -> int:

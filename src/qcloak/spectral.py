@@ -205,8 +205,7 @@ def fit_pole_exponent(system: System, l: int, E_pole: float,
 
 def resonance_scan(system: System, l: int, E_range: tuple[float, float],
                    n_scan: int = 601, pole_offset: float = 1e-8,
-                   amp_threshold: float = 100.0,
-                   workers: int = 0) -> ResonanceReport:
+                   amp_threshold: float = 100.0) -> ResonanceReport:
     """Drive the system with unit Dirichlet boundary data in channel l and
     scan the window for core amplification.
 
@@ -215,21 +214,10 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     `pole_offset` from the refined pole, so narrow interior resonances are
     certified rather than sampled by luck.  Without a pole above
     `amp_threshold` the report carries the flat grid response and no pole.
-
-    Grid evaluations are independent; ``workers > 0`` maps them over a
-    thread pool (the compiled kernel releases the GIL), with results
-    assembled in grid order.
     """
     lo, hi = E_range
     grid = np.linspace(lo, hi, n_scan)
-    if workers > 0:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            amps = np.array(list(pool.map(
-                lambda E: _amplification(system, l, E), grid)))
-    else:
-        amps = np.array([_amplification(system, l, E) for E in grid])
+    amps = np.array([_amplification(system, l, E) for E in grid])
     poles = dirichlet_eigenvalues(system, l, E_range,
                                   n_scan=max(n_scan, 401), xtol=1e-12)
 

@@ -1,4 +1,9 @@
+import importlib.util
+import os
+import shlex
+import shutil
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -22,3 +27,41 @@ def cloak_builder():
         core = qc.CorePotential.step(c_inn, 0.9) if c_inn else None
         return qc.AcousticSystem(layers, core)
     return build
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """qcloak._kernel built from the package's `_kernel.c` in a temporary
+    directory, whatever backend `qcloak.propagate` selected.
+
+    Skips only where no C compiler is installed; a source that fails to
+    compile is an error.
+    """
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc})")
+    from setuptools import Distribution, Extension
+
+    name = "qcloak._kernel"
+    source = Path(qc.__file__).with_name("_kernel.c")
+    out = tmp_path_factory.mktemp("kernel_build")
+    dist = Distribution({"ext_modules": [Extension(name, [str(source)])]})
+    build = dist.get_command_obj("build_ext")
+    build.build_lib = str(out)
+    build.build_temp = str(out / "temp")
+    build.ensure_finalized()
+    build.run()
+    spec = importlib.util.spec_from_file_location(
+        name, build.get_ext_fullpath(name))
+    # loading an extension registers it in sys.modules; keep the entry the
+    # package made (or its absence) so the backend choice stays untouched
+    previous = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if previous is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = previous
+    return module

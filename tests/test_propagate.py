@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qcloak as qc
 from qcloak import _kernel_py
@@ -11,12 +12,48 @@ from qcloak.propagate import _solve
 
 import oracles
 
-try:
-    from qcloak import _kernel
-except ImportError:  # pure-python environment
-    _kernel = None
-
 E0 = 0.5
+
+
+@st.composite
+def kernel_stacks(draw):
+    """Arguments of a kernel `propagate` call on a random shell stack."""
+    n = draw(st.integers(1, 10))
+    widths = draw(st.lists(st.floats(0.02, 0.6), min_size=n, max_size=n))
+    edges = [0.0]
+    for width in widths:
+        edges.append(edges[-1] + width)
+    # |k2| <= 1e-15 takes the power-law branch wherever
+    # |k2| b (b - a) < 1e-14, so on every such shell inside r = 3
+    k2 = draw(st.lists(st.one_of(st.floats(-80.0, -1e-3),
+                                 st.floats(1e-3, 40.0),
+                                 st.floats(-1e-15, 1e-15)),
+                       min_size=n, max_size=n))
+    # repeated values are shells without an interface jump
+    w = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 8.0]),
+                      min_size=n, max_size=n))
+    r_max = edges[-1]
+    sample_r = draw(st.none() | st.lists(
+        st.floats(0.0, r_max) | st.sampled_from(
+            [0.0, 1e-9, _kernel_py._EPS_ORIGIN, r_max]),
+        max_size=12).map(sorted))
+    return (draw(st.integers(0, 60)), edges, k2, w, 1.0, draw(st.booleans()),
+            sample_r)
+
+
+def assert_kernels_agree(a, b):
+    """Compiled result a against the Python twin's b, at parity tolerance.
+
+    A NaN must be NaN on both backends.
+    """
+    assert a.p3 == pytest.approx(b.p3, abs=5e-13, nan_ok=True)
+    assert a.q3 == pytest.approx(b.q3, abs=5e-13, nan_ok=True)
+    assert a.i_total == pytest.approx(b.i_total, rel=1e-11, nan_ok=True)
+    if b.samples is None:
+        assert a.samples is None
+    else:
+        assert a.samples == pytest.approx(b.samples, rel=1e-10, abs=1e-12,
+                                          nan_ok=True)
 
 
 class TestFreeSolutions:
@@ -139,8 +176,7 @@ class TestKernelInternals:
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert det == pytest.approx(1.0, rel=1e-6)
 
-    @pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-    def test_compiled_matches_python(self):
+    def test_compiled_matches_python(self, compiled_kernel):
         rng = np.random.default_rng(5)
         for _ in range(4):
             n = 14
@@ -149,20 +185,33 @@ class TestKernelInternals:
             w = list(rng.uniform(0.1, 8.0, n - 1)) + [1.0]
             samp = list(np.linspace(0.05, 3.0, 13))
             for l in (0, 3, 11):
-                a = _kernel.propagate(l, edges, k2, w, 1.0, True, samp)
-                b = _kernel_py.propagate(l, edges, k2, w, 1.0, True, samp)
-                assert a.p3 == pytest.approx(b.p3, abs=5e-13)
-                assert a.q3 == pytest.approx(b.q3, abs=5e-13)
-                assert a.i_total == pytest.approx(b.i_total, rel=1e-11)
-                for sa, sb in zip(a.samples, b.samples):
-                    assert sa == pytest.approx(sb, rel=1e-10, abs=1e-12)
+                assert_kernels_agree(
+                    compiled_kernel.propagate(l, edges, k2, w, 1.0, True,
+                                              samp),
+                    _kernel_py.propagate(l, edges, k2, w, 1.0, True, samp))
 
-    @pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-    def test_compiled_transfer_matches_python(self):
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(args=kernel_stacks())
+    def test_compiled_matches_python_on_random_stacks(self, compiled_kernel,
+                                                      args):
+        assert_kernels_agree(compiled_kernel.propagate(*args),
+                             _kernel_py.propagate(*args))
+
+    def test_compiled_transfer_matches_python(self, compiled_kernel):
         for k2 in (-60.0, 0.0, 17.0):
-            a = _kernel.shell_transfer(2, 0.5, 1.5, k2)
+            a = compiled_kernel.shell_transfer(2, 0.5, 1.5, k2)
             b = _kernel_py.shell_transfer(2, 0.5, 1.5, k2)
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("short", ["r", "w"])
+    def test_short_arrays_raise_on_both_backends(self, compiled_kernel,
+                                                 short):
+        arrays = {"r": [0.0, 1.0, 2.0, 3.0], "k2": [0.5, -2.0, 0.5],
+                  "w": [1.0, 2.0, 1.0]}
+        arrays[short] = arrays[short][:-1]
+        for kernel in (compiled_kernel, _kernel_py):
+            with pytest.raises((IndexError, ValueError)):
+                kernel.propagate(2, arrays["r"], arrays["k2"], arrays["w"])
 
     def test_deep_evanescent_stack_stays_finite(self):
         # a tall wide barrier would overflow naive fundamental products

@@ -200,14 +200,6 @@ class TestResonanceScan:
         assert found_mo[0].E == pytest.approx(found_im[0].E, abs=0.02)
         assert found_mo[0].concentration > 0.9
 
-    def test_threaded_scan_matches_serial(self, cloak_builder):
-        system = cloak_builder(1.01, 20, -71.45)
-        serial = qc.resonance_scan(system, 0, (0.45, 0.55), n_scan=51)
-        threaded = qc.resonance_scan(system, 0, (0.45, 0.55), n_scan=51,
-                                     workers=4)
-        assert serial.amplification_grid == threaded.amplification_grid
-        assert serial.E_peak == threaded.E_peak
-
 
 class TestConcurrency:
     def test_channel_solves_are_thread_safe(self, cloak_builder):
