@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -130,6 +130,14 @@ class ExperimentConfig:
         core = self.build_core()
         return attach_core(pot, core) if core is not None else pot
 
+    def build_system(self, R: Optional[float] = None,
+                     n_layers: Optional[int] = None):
+        """The system this mode solves: the gauge potential in schrodinger
+        mode, else the acoustic system."""
+        if self.mode == "schrodinger":
+            return self.build_potential(R, n_layers)
+        return self.build_acoustic(R, n_layers)
+
 
 def _f17(x) -> str:
     if isinstance(x, float):
@@ -223,8 +231,7 @@ def cmd_dn_compare(cfg: ExperimentConfig, outdir: Path) -> dict:
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     l_max = cfg.effective_l_max()
-    system = (cfg.build_potential() if cfg.mode == "schrodinger"
-              else cfg.build_acoustic())
+    system = cfg.build_system()
     dn = observables.dn_spectrum(system, cfg.E, l_max)
     free = observables.free_dn_spectrum(cfg.E, l_max)
     rows = [[l, dn.lam[l], free.lam[l], abs(dn.lam[l] - free.lam[l])]
@@ -256,8 +263,7 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path,
     counts = convergence_layer_counts(R_list, cfg.n_layers)
     rows = []
     for R, n in zip(R_list, counts):
-        system = (cfg.build_potential(R, n) if cfg.mode == "schrodinger"
-                  else cfg.build_acoustic(R, n))
+        system = cfg.build_system(R, n)
         dn = observables.dn_spectrum(system, cfg.E, l_max)
         dev = dn.max_deviation_from_free()
         ps = observables.phase_shifts(system, cfg.E, l_max)
@@ -322,8 +328,7 @@ def cmd_field_map(cfg: ExperimentConfig, outdir: Path,
                   kind: str = "segment") -> dict:
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
-    system = (cfg.build_potential() if cfg.mode == "schrodinger"
-              else cfg.build_acoustic())
+    system = cfg.build_system()
     manifest = manifest_for("field-map", cfg, kind=kind)
     if kind == "segment":
         pts, r = _segment_points(cfg.segment_samples)
@@ -351,8 +356,7 @@ def cmd_resonance_scan(cfg: ExperimentConfig, outdir: Path,
     """
     cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
-    system = (cfg.build_potential() if cfg.mode == "schrodinger"
-              else cfg.build_acoustic())
+    system = cfg.build_system()
     window = (cfg.window_lo, cfg.window_hi)
     manifest = manifest_for("resonance-scan", cfg, channels=list(channels))
     reports = []
@@ -474,33 +478,62 @@ def _add_overrides(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, dest=f.name, default=None)
 
 
-_FLOAT_FIELDS = {"R", "E", "c_inn", "core_radius", "grading_ratio", "eta",
-                 "grid_step", "window_lo", "window_hi", "refusal_tol"}
-_INT_FIELDS = {"n_layers", "l_max", "n_scan", "segment_samples",
-               "slice_samples"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+# field kind -> (accepted input types, what the error asks for)
+_KINDS = {bool: ((bool,), "true or false"), str: ((str,), "a string"),
+          int: ((int, str), "an integer"),
+          float: ((int, float, str), "a finite number")}
+
+
+def _coerce(name: str, value):
+    """`value`, a flag's string or a config file's JSON value, as field
+    `name` of ExperimentConfig."""
+    kind = _FIELD_TYPES[name]
+    if type(None) in get_args(kind):       # Optional[X]: null stays None
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    accepted, wanted = _KINDS[kind]
+    try:
+        # exact types: a JSON true is no number
+        out = kind(value) if type(value) in accepted else None
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or kind is float and not math.isfinite(out):
+        raise ConfigurationError(f"{name}: expected {wanted}, got {value!r}")
+    return out
+
+
+def _list_flag(flag: str, text: str, kind) -> tuple:
+    try:
+        return tuple(kind(x) for x in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag}: expected comma-separated {kind.__name__} values, got "
+            f"{text!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        if "config" in loaded and "command" in loaded:
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"config: {exc}") from None
+        if isinstance(loaded, dict) and {"config", "command"} <= set(loaded):
             loaded = loaded["config"]   # a manifest re-runs directly
+        if not isinstance(loaded, dict):
+            raise ConfigurationError("config: expected a JSON object")
         values.update(loaded)
     for f in fields(ExperimentConfig):
         v = getattr(args, f.name, None)
-        if v is None:
-            continue
-        if f.name in _FLOAT_FIELDS:
-            v = float(v)
-        elif f.name in _INT_FIELDS:
-            v = int(v)
-        values[f.name] = v
-    unknown = set(values) - {f.name for f in fields(ExperimentConfig)}
+        if v is not None:
+            values[f.name] = v
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigurationError(
             f"unknown config fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{k: _coerce(k, v) for k, v in values.items()})
     cfg.validate()
     return cfg
 
@@ -543,12 +576,12 @@ def main(argv=None) -> int:
         elif args.command == "dn-compare":
             cmd_dn_compare(cfg, outdir)
         elif args.command == "convergence":
-            R_list = tuple(float(x) for x in args.R_list.split(","))
+            R_list = _list_flag("--R-list", args.R_list, float)
             cmd_convergence(cfg, outdir, R_list)
         elif args.command == "scenario":
             cmd_scenario(cfg, outdir, args.name)
         elif args.command == "resonance-scan":
-            channels = tuple(int(x) for x in args.channels.split(","))
+            channels = _list_flag("--channels", args.channels, int)
             cmd_resonance_scan(cfg, outdir, channels)
         elif args.command == "field-map":
             cmd_field_map(cfg, outdir, args.kind)

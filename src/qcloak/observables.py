@@ -18,7 +18,8 @@ from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, GeometryError, NearEigenvalueError
 from .media import LayeredMedium, RadialPotential
-from .propagate import AcousticSystem, ChannelSolution, default_l_max
+from .propagate import (AcousticSystem, ChannelSolution, default_l_max,
+                        shell_stack)
 from .special import spherical_bessel
 from .spectral import solve_channel
 
@@ -59,17 +60,10 @@ class DNSpectrum:
 
 
 def _support_radius(system: System) -> float:
-    """Outer edge of the non-free region."""
-    if isinstance(system, RadialPotential):
-        shells = [(s.r_in, s.r_out, s.V != 0.0) for s in system.shells]
-    else:
-        med = system.medium if isinstance(system, AcousticSystem) else system
-        shells = [(s.r_in, s.r_out, s.sigma != 1.0 or s.a != 1.0)
-                  for s in med.shells]
-        if isinstance(system, AcousticSystem) and system.core is not None:
-            shells.append((0.0, system.core.breakpoints()[-1], True))
-    edges = [hi for _, hi, nontrivial in shells if nontrivial]
-    return max(edges) if edges else 0.0
+    """Outer edge of the last shell that is not free space."""
+    st = shell_stack(system)
+    return max((hi for hi, *coefs in zip(st.edges[1:], st.a, st.s, st.v, st.w)
+                if coefs != [1.0, 1.0, 0.0, 1.0]), default=0.0)
 
 
 def _far_field_k(system: System, E: float, r_match: float) -> float:

@@ -1,5 +1,11 @@
 """Per-channel radial propagation through layered media and potentials.
 
+Every system is solved through its `ShellStack`: the merged shell edges and
+per-shell a, sigma, W and derivative weights, none of which depends on E.
+The stack is built once per system and kept on the system object, so a
+solve at energy E only forms k^2 = E a/sigma - W and runs the kernel.  A
+channel whose march returns non-finite boundary data raises `DomainError`.
+
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable, else the pure-Python twin `qcloak._kernel_py`; set
@@ -59,50 +65,66 @@ class AcousticSystem:
     core: Optional[CorePotential] = None
 
 
-def _merge_edges(edges: list, cuts: list, lo: float, hi: float) -> list:
-    out = sorted(set(edges) | {c for c in cuts if lo < c < hi})
-    dedup = [out[0]]
-    for x in out[1:]:
-        if x - dedup[-1] > 1e-12:
-            dedup.append(x)
-    return dedup
+@dataclass(frozen=True)
+class ShellStack:
+    """Solver form of a system, E-independent: shell i spans edges[i:i+2]
+    with k^2 = E a_i/s_i - v_i and weight w_i (acoustic: a = mass, s = w =
+    sigma, v = core W; potential: a = s = 1, v = V, w = sigma or 1)."""
+
+    edges: tuple
+    a: tuple
+    s: tuple
+    v: tuple
+    w: tuple
+
+    def k2(self, E: float) -> list:
+        return [E * a / s - v for a, s, v in zip(self.a, self.s, self.v)]
 
 
-def _acoustic_arrays(system: AcousticSystem, E: float):
-    med = system.medium
-    core = system.core
+def shell_stack(system) -> ShellStack:
+    """Stack of an AcousticSystem, LayeredMedium, RadialPotential or (the
+    unit-ball core problem of) a CorePotential; built once per system."""
+    stack = system.__dict__.get("_shell_stack")
+    if stack is None:
+        stack = system.__dict__["_shell_stack"] = _build_stack(system)
+    return stack
+
+
+def _build_stack(system) -> ShellStack:
+    # the system's own per-shell columns; a core's value replaces v
+    core = None
+    if isinstance(system, CorePotential):
+        bounds, core = [0.0, 1.0], system
+        a, s, v, w = (1.0,), (1.0,), (0.0,), (1.0,)
+    elif isinstance(system, RadialPotential):
+        bounds = system.boundaries()
+        v = [sh.V for sh in system.shells]
+        a = s = (1.0,) * len(v)
+        w = system.interface_sigmas or a
+    else:
+        if isinstance(system, AcousticSystem):
+            system, core = system.medium, system.core
+        bounds = system.boundaries()
+        a = [sh.a for sh in system.shells]
+        s = w = [sh.sigma for sh in system.shells]
+        v = (0.0,) * len(a)
     cuts = [1.0] + (core.breakpoints() if core is not None else [])
-    edges = _merge_edges(med.boundaries(), cuts, 0.0, med.shells[-1].r_out)
-    k2 = []
-    w = []
-    shells = med.shells
+    merged = sorted(set(bounds) | {c for c in cuts if 0.0 < c < bounds[-1]})
+    edges = merged[:1]
+    for x in merged[1:]:
+        if x - edges[-1] > 1e-12:
+            edges.append(x)
+    cols = ([], [], [], [])
     idx = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
-        while mid > shells[idx].r_out and idx < len(shells) - 1:
+        while mid > bounds[idx + 1] and idx < len(a) - 1:
             idx += 1
-        sigma, a = shells[idx].sigma, shells[idx].a
-        wv = core.value_at(mid) if core is not None else 0.0
-        k2.append(E * a / sigma - wv)
-        w.append(sigma)
-    return edges, k2, w
-
-
-def _schrodinger_arrays(potential: RadialPotential, E: float):
-    edges = _merge_edges(potential.boundaries(), [1.0], 0.0,
-                         potential.shells[-1].r_out)
-    k2 = []
-    w = []
-    shells = potential.shells
-    sigmas = potential.interface_sigmas
-    idx = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        while mid > shells[idx].r_out and idx < len(shells) - 1:
-            idx += 1
-        k2.append(E - shells[idx].V)
-        w.append(sigmas[idx] if sigmas is not None else 1.0)
-    return edges, k2, w
+        cols[0].append(a[idx])
+        cols[1].append(s[idx])
+        cols[2].append(v[idx] if core is None else core.value_at(mid))
+        cols[3].append(w[idx])
+    return ShellStack(tuple(edges), *map(tuple, cols))
 
 
 @dataclass(frozen=True)
@@ -174,6 +196,11 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
             raise DomainError("sample radii must be sorted ascending")
     res = _impl.propagate(l, edges, k2, w, r_core=1.0,
                           want_norms=want_norms, sample_r=samp)
+    if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
+        # the regular start overflows for high l where x = k*rho is tiny
+        raise DomainError(
+            f"channel l = {l} overflows at E = {E}: the march returned "
+            f"non-finite boundary data; lower l_max")
     pa = max(abs(res.p3), _TINY)
     log_core = (math.log(max(res.i_core, _TINY)) + res.i_logoff
                 + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
@@ -204,10 +231,8 @@ def propagate_acoustic(system: AcousticSystem | LayeredMedium, l: int,
                        ) -> ChannelSolution:
     """Regular solution of div(sigma grad u) + (E a - sigma W) u = 0 in
     channel l, matching u and sigma u' across every interface."""
-    if isinstance(system, LayeredMedium):
-        system = AcousticSystem(system)
-    edges, k2, w = _acoustic_arrays(system, E)
-    return _solve(edges, k2, w, l, E, want_norms, sample_r)
+    st = shell_stack(system)
+    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
 
 
 def propagate_schrodinger(potential: RadialPotential, l: int, E: float,
@@ -221,21 +246,12 @@ def propagate_schrodinger(potential: RadialPotential, l: int, E: float,
     continuous), which makes the solve exactly gauge-equivalent to the
     acoustic one.
     """
-    edges, k2, w = _schrodinger_arrays(potential, E)
-    return _solve(edges, k2, w, l, E, want_norms, sample_r)
-
-
-def core_neumann_arrays(W: CorePotential, E: float):
-    """Shell arrays for the core problem -lap psi + W psi = E psi on [0, 1]."""
-    edges = _merge_edges([0.0, 1.0], W.breakpoints(), 0.0, 1.0)
-    k2 = [E - W.value_at(0.5 * (lo + hi))
-          for lo, hi in zip(edges[:-1], edges[1:])]
-    w = [1.0] * len(k2)
-    return edges, k2, w
+    st = shell_stack(potential)
+    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
 
 
 def solve_core_channel(W: CorePotential, l: int, E: float,
                        want_norms: bool = False) -> ChannelSolution:
     """Regular solution of the core operator on the unit ball."""
-    edges, k2, w = core_neumann_arrays(W, E)
-    return _solve(edges, k2, w, l, E, want_norms, None)
+    st = shell_stack(W)
+    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, None)

@@ -7,10 +7,16 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import qcloak as qc
+
+# every run draws the same examples, so a pass or failure is reproducible;
+# per-test settings keep their own max_examples and deadlines
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

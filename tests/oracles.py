@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's propagation kernels:
 closed forms, scipy special functions, adaptive ODE integration, and a
-finite-difference tensor push-forward.  The one differential reference,
-`scalar_exterior_field`, replays the package's former point-by-point
-exterior field on phase shifts the caller supplies.
+finite-difference tensor push-forward.  Two differential references replay
+former package code: `scalar_exterior_field`, the point-by-point exterior
+field on phase shifts the caller supplies, and the per-solve shell array
+builders (`_acoustic_arrays`, `_schrodinger_arrays`, `core_neumann_arrays`)
+that the shell stack replaced, kept verbatim.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_jn, spherical_yn
+
+from qcloak.media import CorePotential, RadialPotential
+from qcloak.propagate import AcousticSystem
 
 
 def free_log_derivative(l: int, E: float, r: float = 3.0) -> float:
@@ -272,3 +277,60 @@ def random_smooth_profiles(rng: np.random.Generator):
             c * math.cos(o * r + p) for c, o, p in zip(ca, oa, pa)))
 
     return sigma, dsigma, a_of
+
+
+# --- former per-solve shell array builders, verbatim ---------------------
+
+def _merge_edges(edges: list, cuts: list, lo: float, hi: float) -> list:
+    out = sorted(set(edges) | {c for c in cuts if lo < c < hi})
+    dedup = [out[0]]
+    for x in out[1:]:
+        if x - dedup[-1] > 1e-12:
+            dedup.append(x)
+    return dedup
+
+
+def _acoustic_arrays(system: AcousticSystem, E: float):
+    med = system.medium
+    core = system.core
+    cuts = [1.0] + (core.breakpoints() if core is not None else [])
+    edges = _merge_edges(med.boundaries(), cuts, 0.0, med.shells[-1].r_out)
+    k2 = []
+    w = []
+    shells = med.shells
+    idx = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        while mid > shells[idx].r_out and idx < len(shells) - 1:
+            idx += 1
+        sigma, a = shells[idx].sigma, shells[idx].a
+        wv = core.value_at(mid) if core is not None else 0.0
+        k2.append(E * a / sigma - wv)
+        w.append(sigma)
+    return edges, k2, w
+
+
+def _schrodinger_arrays(potential: RadialPotential, E: float):
+    edges = _merge_edges(potential.boundaries(), [1.0], 0.0,
+                         potential.shells[-1].r_out)
+    k2 = []
+    w = []
+    shells = potential.shells
+    sigmas = potential.interface_sigmas
+    idx = 0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        while mid > shells[idx].r_out and idx < len(shells) - 1:
+            idx += 1
+        k2.append(E - shells[idx].V)
+        w.append(sigmas[idx] if sigmas is not None else 1.0)
+    return edges, k2, w
+
+
+def core_neumann_arrays(W: CorePotential, E: float):
+    """Shell arrays for the core problem -lap psi + W psi = E psi on [0, 1]."""
+    edges = _merge_edges([0.0, 1.0], W.breakpoints(), 0.0, 1.0)
+    k2 = [E - W.value_at(0.5 * (lo + hi))
+          for lo, hi in zip(edges[:-1], edges[1:])]
+    w = [1.0] * len(k2)
+    return edges, k2, w

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -39,6 +40,46 @@ class TestConfig:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["R"] == 1.05
         assert manifest["config"]["n_layers"] == 12
+
+    @pytest.mark.parametrize("args, named", [
+        (["--l-max", "ten"], "l_max:"),
+        (["--E", "nan"], "E:"),
+        (["--config", '{"l_max": 10.0}'], "l_max:"),
+        (["--config", '{"l_max": true}'], "l_max:"),
+        (["--config", "[1.05]"], "config:"),
+    ])
+    def test_malformed_values_exit_3(self, tmp_path, capsys, args, named):
+        if args[0] == "--config":   # the file holds the given text
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(args[1])
+            args = ["--config", str(cfg_file)]
+        rc = cli.main(["synthesize", *args, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    def test_malformed_list_flags_exit_3(self, tmp_path, capsys):
+        rc = cli.main(["resonance-scan", "--channels", "0,one",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: --channels:")
+
+    def test_config_values_take_the_field_types(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"E": 1, "l_max": None,
+                                        "force": True}))
+        args = argparse.Namespace(config=cfg_file, n_layers="12")
+        cfg = cli.build_config(args)
+        assert (cfg.E, cfg.l_max, cfg.force, cfg.n_layers) == (1.0, None,
+                                                              True, 12)
+        assert isinstance(cfg.E, float)
+
+    def test_build_system_follows_the_mode(self):
+        for mode, builder in (("acoustic", "build_acoustic"),
+                              ("both", "build_acoustic"),
+                              ("schrodinger", "build_potential")):
+            cfg = fast_cfg(mode=mode, c_inn=-71.45)
+            assert cfg.build_system() == getattr(cfg, builder)()
+            assert cfg.build_system(1.1, 8) == getattr(cfg, builder)(1.1, 8)
 
     def test_unknown_config_fields_are_named(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -103,6 +144,17 @@ class TestRefusal:
         cfg = fast_cfg(c_inn=-71.45, E=traps[0][0])
         with pytest.raises(EigenvalueProximityRefusal):
             cli.cmd_convergence(cfg, tmp_path)
+
+
+class TestOverflowingChannels:
+    def test_phase_shifts_exit_3_instead_of_writing_nan(self, tmp_path,
+                                                        capsys):
+        # the default cloak's channels 47 and 48 were written as nan rows
+        rc = cli.main(["phase-shifts", "--l-max", "48", "--mode", "acoustic",
+                       "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: channel l = 47")
+        assert not (tmp_path / "phase_shifts.tsv").exists()
 
 
 class TestConvergence:

@@ -40,6 +40,16 @@ class TestPhaseShifts:
         with pytest.raises(DomainError):
             qc.phase_shifts(free_medium, -1.0)
 
+    def test_support_radius(self, free_medium, cloak_builder):
+        # outer edge of the last shell that differs from free space
+        system = cloak_builder(1.05, 16, -71.45)
+        assert observables._support_radius(free_medium) == 0.0
+        assert observables._support_radius(
+            qc.AcousticSystem(free_medium, system.core)) == 0.9
+        assert observables._support_radius(system) == 2.0
+        assert observables._support_radius(
+            qc.gauge_potential(system.medium, E0)) == 2.0
+
     def test_rejects_matching_inside_support(self, cloak_builder):
         with pytest.raises(GeometryError):
             qc.phase_shifts(cloak_builder(1.05, 16), E0, r_match=1.5)

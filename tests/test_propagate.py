@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcloak as qc
-from qcloak import _kernel_py
+from qcloak import _kernel_py, propagate
 from qcloak.errors import ConfigurationError, DomainError
-from qcloak.media import gauge_potential, mollify_medium
-from qcloak.propagate import _solve
+from qcloak.media import attach_core, gauge_potential, mollify_medium
+from qcloak.propagate import _solve, shell_stack
 
 import oracles
 
@@ -54,6 +54,92 @@ def assert_kernels_agree(a, b):
     else:
         assert a.samples == pytest.approx(b.samples, rel=1e-10, abs=1e-12,
                                           nan_ok=True)
+
+
+@st.composite
+def step_cores(draw):
+    """Step potentials in the unit ball; some radii sit within the 1e-12
+    merge tolerance of the radius 1 cut or of each other."""
+    radii = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from(
+        [0.5, 0.5 + 1e-13, 0.9, 1.0 - 5e-13, 1.0]), min_size=1, max_size=5,
+        unique=True).map(sorted))
+    values = draw(st.lists(st.floats(-100.0, 100.0) | st.just(0.0),
+                           min_size=len(radii), max_size=len(radii)))
+    return qc.CorePotential(tuple(zip(radii, values)))
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def assert_stack_matches(system, arrays):
+    """shell_stack(system) against a former per-solve builder, bit for bit:
+    `arrays(E)` returns its (edges, k2, w)."""
+    stack = shell_stack(system)
+    for E in (0.3, 0.44738, 0.5, 0.7):
+        edges, k2, w = arrays(E)
+        assert bits(stack.edges) == bits(edges)
+        assert bits(stack.k2(E)) == bits(k2)
+        assert bits(stack.w) == bits(w)
+
+
+class TestShellStack:
+    """The stack reproduces the arrays the solvers were given before it."""
+
+    @pytest.mark.parametrize("c_inn", [-98.5, 1.858, -71.45, 0.0])
+    def test_reference_cloaks(self, cloak_builder, c_inn):
+        system = cloak_builder(1.005, 50, c_inn)
+        assert_stack_matches(
+            system, lambda E: oracles._acoustic_arrays(system, E))
+
+    def test_bare_layered_media(self, cloak_builder, free_medium):
+        for med in (cloak_builder(1.005, 50).medium, free_medium):
+            assert_stack_matches(med, lambda E: oracles._acoustic_arrays(
+                qc.AcousticSystem(med), E))
+
+    def test_gauge_potentials(self, cloak_builder):
+        layers = cloak_builder(1.005, 50).medium
+        core = qc.CorePotential.step(-71.45, 0.9)
+        for pot in (attach_core(gauge_potential(layers, E0), core),
+                    gauge_potential(cloak_builder(1.05, 16).medium, E0,
+                                    mode="mollified")):
+            assert_stack_matches(
+                pot, lambda E: oracles._schrodinger_arrays(pot, E))
+
+    def test_core_problem(self):
+        for W in (qc.CorePotential.step(-71.45, 0.9),
+                  qc.CorePotential(((0.3, -20.0), (0.9, 5.0), (1.0, 0.0)))):
+            assert_stack_matches(
+                W, lambda E: oracles.core_neumann_arrays(W, E))
+
+    @settings(max_examples=60, deadline=None)
+    @given(W=step_cores())
+    def test_random_step_cores(self, cloak_builder, W):
+        layers = cloak_builder(1.05, 16).medium
+        system = qc.AcousticSystem(layers, W)
+        pot = attach_core(gauge_potential(layers, E0), W)
+        assert_stack_matches(W, lambda E: oracles.core_neumann_arrays(W, E))
+        assert_stack_matches(
+            system, lambda E: oracles._acoustic_arrays(system, E))
+        assert_stack_matches(
+            pot, lambda E: oracles._schrodinger_arrays(pot, E))
+
+    @pytest.mark.parametrize("kind", ["acoustic", "potential"])
+    def test_resonance_scan_builds_one_stack(self, cloak_builder,
+                                             monkeypatch, kind):
+        builds, solves = [], []
+        build, solve = propagate._build_stack, propagate._solve
+        monkeypatch.setattr(propagate, "_build_stack",
+                            lambda s: builds.append(s) or build(s))
+        monkeypatch.setattr(propagate, "_solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        system = cloak_builder(1.005, 50, -71.45)
+        if kind == "potential":
+            system = attach_core(gauge_potential(system.medium, E0),
+                                 system.core)
+        qc.resonance_scan(system, 0, (0.4, 0.6))
+        assert len(solves) >= 600
+        assert len(builds) == 1 and builds[0] is system
 
 
 class TestFreeSolutions:
@@ -286,6 +372,19 @@ class TestValidation:
         sol = qc.propagate_acoustic(free_medium, 0, E0)
         with pytest.raises(DomainError):
             sol.log_derivative_at(1.234567)
+
+    def test_overflowing_channels_raise(self, free_medium, cloak_builder):
+        # the regular start overflows for these channels; the march used to
+        # return NaN boundary data (exact free phase shift: 0)
+        with pytest.raises(DomainError, match="l = 40 overflows at E = 0.5"):
+            qc.propagate_acoustic(free_medium, 40, E0)
+        with pytest.raises(DomainError, match="l = 40"):
+            qc.phase_shifts(free_medium, E0, l_max=40)
+        trap = cloak_builder(1.005, 50, c_inn=1.858)
+        with pytest.raises(DomainError, match="l = 39 overflows at E = 0.5"):
+            qc.propagate_acoustic(trap, 39, E0)
+        with pytest.raises(DomainError, match="l = 39"):
+            qc.dn_spectrum(trap, E0, l_max=39)
 
     def test_unsorted_samples_rejected(self, free_medium):
         with pytest.raises(DomainError):
