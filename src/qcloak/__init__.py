@@ -41,6 +41,7 @@ from .propagate import (
     default_l_max,
     propagate_acoustic,
     propagate_schrodinger,
+    solve_channel,
     solve_core_channel,
 )
 from .special import SpecialFunctionValue, spherical_bessel
@@ -69,7 +70,6 @@ from .spectral import (  # noqa: E402
     interior_trap_energies,
     neumann_core_eigenvalues,
     resonance_scan,
-    solve_channel,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

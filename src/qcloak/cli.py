@@ -67,7 +67,6 @@ class ExperimentConfig:
     n_scan: int = 601
     segment_samples: int = 600
     slice_samples: int = 200
-    incident_axis: str = "+z"
     refusal_tol: float = 1e-3
     force: bool = False
     phase_order: str = "low-first"
@@ -94,6 +93,13 @@ class ExperimentConfig:
                 f"gauge_mode: unknown mode {self.gauge_mode!r}")
         if not self.window_hi > self.window_lo > 0.0:
             raise ConfigurationError("window: need 0 < window_lo < window_hi")
+        if self.l_max is not None and self.l_max < 0:
+            raise ConfigurationError(
+                f"l_max: need l_max >= 0, got {self.l_max}")
+        for name in ("n_scan", "segment_samples", "slice_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name}: need a count >= 1, got {getattr(self, name)}")
 
     # --- builders --------------------------------------------------------
 
@@ -284,11 +290,6 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path,
     return {"rows": rows, "monotone": monotone}
 
 
-def _segment_points(n: int):
-    r = np.linspace(0.0, 3.0, n)
-    return np.column_stack([r, np.ones_like(r)]), r
-
-
 def _slice_points(n: int):
     xs = np.linspace(-3.0, 3.0, n)
     zs = np.linspace(-3.0, 3.0, n)
@@ -298,15 +299,23 @@ def _slice_points(n: int):
     return np.column_stack([R.ravel(), MU.ravel()]), X.ravel(), Z.ravel()
 
 
-def _write_segment(outdir: Path, manifest: dict, name: str, r, values):
-    rows = [[rv, v.real, v.imag] for rv, v in zip(r, values)]
-    write_table(outdir / name, manifest, ["r", "re_psi", "im_psi"], rows)
-
-
-def _write_slice(outdir: Path, manifest: dict, name: str, x, z, values):
-    rows = [[xv, zv, v.real, v.imag]
-            for xv, zv, v in zip(x, z, values)]
-    write_table(outdir / name, manifest, ["x", "z", "re_psi", "im_psi"], rows)
+def _write_field(outdir: Path, manifest: dict, cfg: ExperimentConfig,
+                 system, kind: str):
+    """field_<kind>.tsv: the plane-wave field on the segment (r from 0 to 3
+    along the incidence direction) or on the x-z slice through the ball."""
+    if kind == "segment":
+        r = np.linspace(0.0, 3.0, cfg.segment_samples)
+        pts, coords, cols = np.column_stack([r, np.ones_like(r)]), [r], ["r"]
+    elif kind == "slice":
+        pts, x, z = _slice_points(cfg.slice_samples)
+        coords, cols = [x, z], ["x", "z"]
+    else:
+        raise ConfigurationError(f"unknown field-map kind {kind!r}")
+    psi = observables.plane_wave_field(system, cfg.E, pts,
+                                       cfg.effective_l_max())
+    rows = [[*c, v.real, v.imag] for *c, v in zip(*coords, psi)]
+    write_table(outdir / f"field_{kind}.tsv", manifest,
+                cols + ["re_psi", "im_psi"], rows)
 
 
 def _write_mode(outdir: Path, manifest: dict, cfg: ExperimentConfig,
@@ -330,18 +339,7 @@ def cmd_field_map(cfg: ExperimentConfig, outdir: Path,
     outdir.mkdir(parents=True, exist_ok=True)
     system = cfg.build_system()
     manifest = manifest_for("field-map", cfg, kind=kind)
-    if kind == "segment":
-        pts, r = _segment_points(cfg.segment_samples)
-        psi = observables.plane_wave_field(system, cfg.E, pts,
-                                           cfg.effective_l_max())
-        _write_segment(outdir, manifest, "field_segment.tsv", r, psi)
-    elif kind == "slice":
-        pts, x, z = _slice_points(cfg.slice_samples)
-        psi = observables.plane_wave_field(system, cfg.E, pts,
-                                           cfg.effective_l_max())
-        _write_slice(outdir, manifest, "field_slice.tsv", x, z, psi)
-    else:
-        raise ConfigurationError(f"unknown field-map kind {kind!r}")
+    _write_field(outdir, manifest, cfg, system, kind)
     write_manifest(outdir, manifest)
     return {"kind": kind}
 
@@ -399,14 +397,8 @@ def cmd_scenario(cfg: ExperimentConfig, outdir: Path, name: str) -> dict:
         rep = spectral.resonance_scan(system, 0,
                                       (cfg.window_lo, cfg.window_hi),
                                       n_scan=cfg.n_scan)
-        pts, r = _segment_points(cfg.segment_samples)
-        psi = observables.plane_wave_field(system, cfg.E, pts,
-                                           cfg.effective_l_max())
-        _write_segment(outdir, manifest, "field_segment.tsv", r, psi)
-        spts, x, z = _slice_points(cfg.slice_samples)
-        psl = observables.plane_wave_field(system, cfg.E, spts,
-                                           cfg.effective_l_max())
-        _write_slice(outdir, manifest, "field_slice.tsv", x, z, psl)
+        for kind in ("segment", "slice"):
+            _write_field(outdir, manifest, cfg, system, kind)
         report.update({
             "almost_trapped": bool(rep.amplification >= TRAP_AMPLIFICATION),
             "amplification": rep.amplification,

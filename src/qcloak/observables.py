@@ -3,7 +3,8 @@ and sampled wave fields.
 
 All systems here are free (sigma = a = 1, V = 0) outside some matching
 radius below 3, so a single log-derivative per channel carries the whole
-far-field content.
+far-field content.  `dn_spectrum` refuses an energy whose boundary value
+falls below `U_THRESHOLD` in some channel.
 """
 
 from __future__ import annotations
@@ -11,19 +12,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, GeometryError, NearEigenvalueError
-from .media import LayeredMedium, RadialPotential
-from .propagate import (AcousticSystem, ChannelSolution, default_l_max,
-                        shell_stack)
+from .propagate import (ChannelSolution, System, default_l_max, shell_stack,
+                        solve_channel)
 from .special import spherical_bessel
-from .spectral import solve_channel
 
-System = Union[AcousticSystem, LayeredMedium, RadialPotential]
+#: |u(3)| below which `dn_spectrum` treats E as a Dirichlet eigenvalue
+U_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -156,20 +156,20 @@ def optical_theorem_defect(shifts: PhaseShifts) -> float:
     return abs(st - via_f) / scale
 
 
-def dn_spectrum(system: System, E: float, l_max: Optional[int] = None,
-                u_threshold: float = 1e-10) -> DNSpectrum:
+def dn_spectrum(system: System, E: float,
+                l_max: Optional[int] = None) -> DNSpectrum:
     """Channel values sigma(3) u'(3)/u(3) of the boundary map at energy E.
 
     Raises NearEigenvalueError naming the channel when the boundary value of
-    the regular solution falls below threshold (E is numerically a Dirichlet
-    eigenvalue of the full problem).
+    the regular solution falls below U_THRESHOLD (E is numerically a
+    Dirichlet eigenvalue of the full problem).
     """
     if l_max is None:
         l_max = default_l_max(E)
     lam = []
     for l in range(l_max + 1):
         sol = solve_channel(system, l, E, want_norms=False)
-        if abs(sol.dirichlet_value) < u_threshold:
+        if abs(sol.dirichlet_value) < U_THRESHOLD:
             raise NearEigenvalueError(
                 f"E = {E} is numerically a Dirichlet eigenvalue in channel "
                 f"l = {l}", l=l, E=E)

@@ -1,10 +1,14 @@
 """Per-channel radial propagation through layered media and potentials.
 
-Every system is solved through its `ShellStack`: the merged shell edges and
-per-shell a, sigma, W and derivative weights, none of which depends on E.
-The stack is built once per system and kept on the system object, so a
-solve at energy E only forms k^2 = E a/sigma - W and runs the kernel.  A
-channel whose march returns non-finite boundary data raises `DomainError`.
+`solve_channel` is the one solve for every system (`propagate_acoustic` and
+`propagate_schrodinger` are the same function).  It goes through the
+system's `ShellStack`: the merged shell edges and per-shell a, sigma, W and
+derivative weights, none of which depends on E.  The stack is built once
+per system and kept on the system object, so a solve at energy E only forms
+k^2 = E a/sigma - W and runs the kernel.  A channel whose march returns
+non-finite boundary data raises `DomainError`; channels above
+`special.L_MAX_SUPPORTED` raise `ConfigurationError`.  `default_l_max`
+pads the centrifugal cut-off at `media.R_OUTER` by `L_MARGIN` channels.
 
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
@@ -19,11 +23,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import _kernel_py
 from .errors import ConfigurationError, DomainError, GeometryError
-from .media import CorePotential, LayeredMedium, RadialPotential
+from .media import R_OUTER, CorePotential, LayeredMedium, RadialPotential
+from .special import L_MAX_SUPPORTED
 
 if os.environ.get("QCLOAK_PURE_PYTHON"):
     _impl = _kernel_py
@@ -36,20 +41,22 @@ else:
 KERNEL_BACKEND = "compiled" if _impl is not _kernel_py else "python"
 
 _TINY = 1e-300
-L_MAX_HARD = 60
+#: channels kept above the centrifugal cut-off by `default_l_max`
+L_MARGIN = 10
 
 
-def default_l_max(E: float, radius: float = 3.0, margin: int = 10) -> int:
-    """Smallest l whose centrifugal barrier at `radius` tops 4E, plus margin.
+def default_l_max(E: float) -> int:
+    """Smallest l whose centrifugal barrier at R_OUTER tops 4E, plus
+    L_MARGIN.
 
     Channels above this are numerically free for media supported inside
-    `radius`.
+    the outer ball.
     """
     if E <= 0.0:
-        return margin
-    l_star = math.ceil((-1.0 + math.sqrt(1.0 + 16.0 * E * radius * radius))
+        return L_MARGIN
+    l_star = math.ceil((-1.0 + math.sqrt(1.0 + 16.0 * E * R_OUTER * R_OUTER))
                        / 2.0)
-    return l_star + margin
+    return l_star + L_MARGIN
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,9 @@ class AcousticSystem:
 
     medium: LayeredMedium
     core: Optional[CorePotential] = None
+
+
+System = Union[AcousticSystem, LayeredMedium, RadialPotential]
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,6 @@ class ChannelSolution:
     log_norm_core: float
     log_norm_total: float
     concentration: float
-    regular: bool = True
     overflow: bool = False
     sample_r: Optional[tuple] = None
     sample_u: Optional[tuple] = None   # u(rho)/u(r_max)
@@ -184,8 +193,9 @@ class ChannelSolution:
 
 
 def _solve(edges, k2, w, l, E, want_norms, sample_r):
-    if l < 0 or l > L_MAX_HARD:
-        raise ConfigurationError(f"channel l={l} outside [0, {L_MAX_HARD}]")
+    if l < 0 or l > L_MAX_SUPPORTED:
+        raise ConfigurationError(
+            f"channel l={l} outside [0, {L_MAX_SUPPORTED}]")
     if len(edges) != len(k2) + 1:
         raise GeometryError("boundary/shell count mismatch")
     r_max = edges[-1]
@@ -225,29 +235,23 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         sample_u=sample_u)
 
 
-def propagate_acoustic(system: AcousticSystem | LayeredMedium, l: int,
-                       E: float, want_norms: bool = True,
-                       sample_r: Optional[Sequence[float]] = None
-                       ) -> ChannelSolution:
-    """Regular solution of div(sigma grad u) + (E a - sigma W) u = 0 in
-    channel l, matching u and sigma u' across every interface."""
+def solve_channel(system: System, l: int, E: float, want_norms: bool = True,
+                  sample_r: Optional[Sequence[float]] = None
+                  ) -> ChannelSolution:
+    """Regular solution of channel l at energy E, for every system.
+
+    Acoustic systems and layered media solve
+    div(sigma grad u) + (E a - sigma W) u = 0, matching u and sigma u'
+    across every interface.  Potentials solve (-lap + V) psi = E psi: plain
+    ones match psi and psi', interface-matched ones apply the gauge jump
+    (psi scales by sqrt(sigma+/sigma-), sigma (psi/sqrt(sigma))' continuous),
+    which makes the solve exactly gauge-equivalent to the acoustic one.
+    """
     st = shell_stack(system)
     return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
 
 
-def propagate_schrodinger(potential: RadialPotential, l: int, E: float,
-                          want_norms: bool = True,
-                          sample_r: Optional[Sequence[float]] = None
-                          ) -> ChannelSolution:
-    """Regular solution of (-lap + V) psi = E psi in channel l.
-
-    Plain potentials match psi and psi'; interface-matched potentials apply
-    the gauge jump (psi scales by sqrt(sigma+/sigma-), sigma (psi/sqrt(sigma))'
-    continuous), which makes the solve exactly gauge-equivalent to the
-    acoustic one.
-    """
-    st = shell_stack(potential)
-    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
+propagate_acoustic = propagate_schrodinger = solve_channel
 
 
 def solve_core_channel(W: CorePotential, l: int, E: float,

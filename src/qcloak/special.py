@@ -8,6 +8,8 @@ All channel propagation reduces to evaluating the fundamental radial pairs
 The scaled evanescent pair keeps every intermediate bounded; exponents are
 tracked separately by the propagation kernels.  j_l uses downward (Miller)
 recurrence below the turning point x < l where upward recurrence cancels.
+`spherical_bessel` returns the oscillatory pair and its derivatives; the
+kernels take the pairs from `_sph_jy_pair` and `_sph_ik_pair_scaled`.
 """
 
 from __future__ import annotations
@@ -143,8 +145,7 @@ def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
 
 @dataclass(frozen=True)
 class SpecialFunctionValue:
-    """Spherical Bessel data at one (l, x), including the scaled modified pair
-    used for evanescent layers."""
+    """Spherical Bessel data j_l, y_l and their derivatives at one (l, x)."""
 
     l: int
     x: float
@@ -152,10 +153,6 @@ class SpecialFunctionValue:
     y: float
     jp: float
     yp: float
-    i_scaled: float    # e^-x i_l(x)
-    k_scaled: float    # e^+x k_l(x)
-    ip_scaled: float   # e^-x i_l'(x)
-    kp_scaled: float   # e^+x k_l'(x)
 
     def wronskian_defect(self) -> float:
         """Relative departure of j*y' - j'*y from 1/x^2."""
@@ -164,7 +161,7 @@ class SpecialFunctionValue:
 
 
 def spherical_bessel(l: int, x: float) -> SpecialFunctionValue:
-    """Evaluate j_l, y_l, derivatives, and the scaled modified pair at x.
+    """Evaluate j_l, y_l and their derivatives at x.
 
     Raises DomainError for x <= 0 and ConfigurationError for unsupported l.
     """
@@ -185,7 +182,4 @@ def spherical_bessel(l: int, x: float) -> SpecialFunctionValue:
     else:
         jp = jm - (l + 1) / x * j
     yp = ym - (l + 1) / x * y
-    im, i, km, k = _sph_ik_pair_scaled(l, x)
-    ip = im - (l + 1) / x * i
-    kp = -km - (l + 1) / x * k
-    return SpecialFunctionValue(l, x, j, y, jp, yp, i, k, ip, kp)
+    return SpecialFunctionValue(l, x, j, y, jp, yp)

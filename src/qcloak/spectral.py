@@ -6,6 +6,12 @@ core-concentrated, exterior ("+") levels live in the shell.  Driving the
 system with unit boundary data and scanning E exposes the simple-pole
 structure of the eigenfunction expansion: the core response grows like
 1/|E - E_j| near an isolated level, which is fitted and reported.
+
+Every eigenvalue search is one `_roots` call: sign-change brackets from a
+scan, each polished by `brentq`.  Concentrations between the `MIXED_BAND`
+limits classify a level as mixed; `resonance_scan` evaluates a pole's
+amplification `POLE_OFFSET` from it and reports poles above
+`AMP_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -13,36 +19,22 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .media import CorePotential, LayeredMedium, RadialPotential
-from .propagate import (
-    AcousticSystem,
-    ChannelSolution,
-    propagate_acoustic,
-    propagate_schrodinger,
-    solve_core_channel,
-)
+from .media import R_OUTER, CorePotential
+from .propagate import System, solve_channel, solve_core_channel
 from .special import spherical_bessel
-
-System = Union[AcousticSystem, LayeredMedium, RadialPotential]
 
 #: concentration band reported as "mixed" between interior and exterior
 MIXED_BAND = (0.4, 0.6)
-
-
-def solve_channel(system: System, l: int, E: float, want_norms: bool = True,
-                  sample_r=None) -> ChannelSolution:
-    """Dispatch to the acoustic or potential solver by system type."""
-    if isinstance(system, RadialPotential):
-        return propagate_schrodinger(system, l, E, want_norms=want_norms,
-                                     sample_r=sample_r)
-    return propagate_acoustic(system, l, E, want_norms=want_norms,
-                              sample_r=sample_r)
+#: distance from a located pole at which its amplification is evaluated
+POLE_OFFSET = 1e-8
+#: amplification a located pole must reach to be reported
+AMP_THRESHOLD = 100.0
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,10 @@ class ResonanceReport:
     amplification_grid: tuple
 
 
-def classify(concentration: float,
-             band: tuple[float, float] = MIXED_BAND) -> str:
-    if concentration >= band[1]:
+def classify(concentration: float) -> str:
+    if concentration >= MIXED_BAND[1]:
         return "interior"
-    if concentration <= band[0]:
+    if concentration <= MIXED_BAND[0]:
         return "exterior"
     return "mixed"
 
@@ -99,6 +90,12 @@ def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
     return brackets
 
 
+def _roots(f, lo: float, hi: float, n: int, xtol: float) -> list:
+    """Roots of f on [lo, hi]: `_sign_scan` brackets on an n-point grid,
+    each polished by brentq to xtol."""
+    return [brentq(f, a, b, xtol=xtol) for a, b in _sign_scan(f, lo, hi, n)]
+
+
 def dirichlet_eigenvalues(system: System, l: int,
                           window: tuple[float, float],
                           n_scan: Optional[int] = None,
@@ -111,16 +108,14 @@ def dirichlet_eigenvalues(system: System, l: int,
     lo, hi = window
     if not hi > lo:
         raise DomainError("window must be a nonempty interval")
-    n = n_scan or 2001   # default scan step: window/2000
 
     def f(E):
         return solve_channel(system, l, E, want_norms=False).dirichlet_value
 
     points = []
-    for a, b in _sign_scan(f, lo, hi, n):
-        root = brentq(f, a, b, xtol=xtol)
-        sol = solve_channel(system, l, root, want_norms=True)
-        conc = sol.concentration
+    # default scan step: window/2000
+    for root in _roots(f, lo, hi, n_scan or 2001, xtol):
+        conc = solve_channel(system, l, root).concentration
         points.append(SpectralPoint(root, l, classify(conc), conc,
                                     "dirichlet-b3"))
     return points
@@ -131,39 +126,35 @@ def neumann_core_eigenvalues(W: CorePotential, l: int,
                              n_scan: int = 2000,
                              xtol: float = 1e-10) -> list[SpectralPoint]:
     """Neumann eigenvalues of -lap + W on the unit ball: roots of
-    psi_l'(1; E) for the regular solution."""
+    psi_l'(1; E) for the regular solution.  The core is the whole domain,
+    so every level has concentration 1."""
     lo, hi = window
 
     def f(E):
         return solve_core_channel(W, l, E).neumann_value
 
-    points = []
-    for a, b in _sign_scan(f, lo, hi, n_scan):
-        root = brentq(f, a, b, xtol=xtol)
-        sol = solve_core_channel(W, l, root, want_norms=True)
-        points.append(SpectralPoint(root, l, "interior", sol.concentration,
-                                    "neumann-b1"))
-    return points
+    return [SpectralPoint(root, l, "interior", 1.0, "neumann-b1")
+            for root in _roots(f, lo, hi, n_scan, xtol)]
 
 
 def free_dirichlet_eigenvalues(window: tuple[float, float],
-                               l_max: int, radius: float = 3.0) -> list:
-    """Dirichlet eigenvalues of the free ball: E with j_l(radius*sqrt(E)) = 0.
+                               l_max: int) -> list:
+    """Dirichlet eigenvalues of the free outer ball: E with
+    j_l(R_OUTER*sqrt(E)) = 0.
 
     Returns (E, l) pairs within the window, used by the refusal logic.
     Scans in k where the zeros are near-uniformly spaced.
     """
     lo, hi = window
-    k_lo, k_hi = radius * math.sqrt(max(lo, 1e-12)), radius * math.sqrt(hi)
+    k_lo, k_hi = R_OUTER * math.sqrt(max(lo, 1e-12)), R_OUTER * math.sqrt(hi)
+    n = max(64, int(8.0 * (k_hi - k_lo) / math.pi))
     pairs = []
     for l in range(l_max + 1):
         def f(x):
             return spherical_bessel(l, x).j
 
-        n = max(64, int(8.0 * (k_hi - k_lo) / math.pi))
-        for a, b in _sign_scan(f, k_lo, k_hi, n):
-            x0 = brentq(f, a, b, xtol=1e-13)
-            pairs.append(((x0 / radius) ** 2, l))
+        pairs.extend(((x0 / R_OUTER) ** 2, l)
+                     for x0 in _roots(f, k_lo, k_hi, n, 1e-13))
     return sorted(p for p in pairs if lo <= p[0] <= hi)
 
 
@@ -204,16 +195,15 @@ def fit_pole_exponent(system: System, l: int, E_pole: float,
 
 
 def resonance_scan(system: System, l: int, E_range: tuple[float, float],
-                   n_scan: int = 601, pole_offset: float = 1e-8,
-                   amp_threshold: float = 100.0) -> ResonanceReport:
+                   n_scan: int = 601) -> ResonanceReport:
     """Drive the system with unit Dirichlet boundary data in channel l and
     scan the window for core amplification.
 
     Poles (Dirichlet eigenvalues of the full problem) inside the window are
     located by root-finding and the amplification is evaluated a distance
-    `pole_offset` from the refined pole, so narrow interior resonances are
+    POLE_OFFSET from the refined pole, so narrow interior resonances are
     certified rather than sampled by luck.  Without a pole above
-    `amp_threshold` the report carries the flat grid response and no pole.
+    AMP_THRESHOLD the report carries the flat grid response and no pole.
     """
     lo, hi = E_range
     grid = np.linspace(lo, hi, n_scan)
@@ -223,18 +213,18 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
 
     best = None
     for pt in poles:
-        amp = _amplification(system, l, pt.E + pole_offset)
+        amp = _amplification(system, l, pt.E + POLE_OFFSET)
         if best is None or amp > best[1]:
             best = (pt, amp)
 
     i_max = int(np.argmax(amps))
-    if best is not None and best[1] >= amp_threshold:
+    if best is not None and best[1] >= AMP_THRESHOLD:
         pt, amp = best
         span = hi - lo
         others = [abs(p.E - pt.E) for p in poles if p is not pt]
         d_max = min([span / 4.0] + [d / 10.0 for d in others]
                     + [abs(pt.E - lo) / 2.0 or span, abs(hi - pt.E) / 2.0 or span])
-        offsets = np.geomspace(max(1e-6, pole_offset * 10.0),
+        offsets = np.geomspace(max(1e-6, POLE_OFFSET * 10.0),
                                max(d_max, 1e-5), 7)
         exponent = fit_pole_exponent(system, l, pt.E, offsets)
         return ResonanceReport(l, pt.E, amp, pt, exponent,

@@ -47,6 +47,10 @@ class TestConfig:
         (["--config", '{"l_max": 10.0}'], "l_max:"),
         (["--config", '{"l_max": true}'], "l_max:"),
         (["--config", "[1.05]"], "config:"),
+        (["--l-max", "-3"], "l_max:"),
+        (["--n-scan", "0"], "n_scan:"),
+        (["--segment-samples", "-5"], "segment_samples:"),
+        (["--slice-samples", "0"], "slice_samples:"),
     ])
     def test_malformed_values_exit_3(self, tmp_path, capsys, args, named):
         if args[0] == "--config":   # the file holds the given text
@@ -83,10 +87,11 @@ class TestConfig:
 
     def test_unknown_config_fields_are_named(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"R": 1.05, "n_leyers": 16}))
-        rc = cli.main(["synthesize", "--config", str(cfg_file),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 3
+        for doc in ({"R": 1.05, "n_leyers": 16}, {"incident_axis": "+z"}):
+            cfg_file.write_text(json.dumps(doc))
+            rc = cli.main(["synthesize", "--config", str(cfg_file),
+                           "--out", str(tmp_path / "o")])
+            assert rc == 3
 
 
 class TestSynthesize:
@@ -135,6 +140,16 @@ class TestRefusal:
         rc = cli.main(["convergence", "--E", str((math.pi / 3.0) ** 2),
                        "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_coreless_interior_trap_energy_is_refused(self):
+        # c_inn = 0: the trap energies come from the free unit core
+        ev = qc.interior_trap_energies(None, *qc.DOUBLED_CORE, (0.9, 1.2),
+                                       2)[0][0]
+        cfg = fast_cfg(c_inn=0.0, l_max=2)
+        with pytest.raises(EigenvalueProximityRefusal) as info:
+            cli.check_energy_admissible(cfg, ev + 2e-4)
+        assert info.value.kind == "interior-trap"
+        assert info.value.eigenvalue == pytest.approx(ev, abs=1e-10)
 
     def test_interior_trap_energy_is_refused(self, tmp_path):
         system_cfg = fast_cfg(R=1.005, n_layers=50, c_inn=-71.45)

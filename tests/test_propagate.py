@@ -361,6 +361,12 @@ class TestShielding:
         assert sol.concentration < 1e-4
 
 
+class TestOneSolve:
+    def test_every_system_goes_through_solve_channel(self):
+        assert (qc.propagate_acoustic is qc.propagate_schrodinger
+                is qc.solve_channel is propagate.solve_channel)
+
+
 class TestValidation:
     def test_bad_channel(self, free_medium):
         with pytest.raises(ConfigurationError):

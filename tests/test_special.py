@@ -6,7 +6,7 @@ from scipy.special import spherical_in, spherical_jn, spherical_kn, spherical_yn
 
 import qcloak as qc
 from qcloak.errors import ConfigurationError, DomainError
-from qcloak.special import spherical_bessel
+from qcloak.special import _sph_ik_pair_scaled, spherical_bessel
 
 
 def test_j0_closed_form():
@@ -32,10 +32,11 @@ def test_accuracy_against_scipy(l, x):
                                  rel=1e-10, abs=1e-280)
     assert s.yp == pytest.approx(spherical_yn(l, x, derivative=True),
                                  rel=1e-10)
-    assert s.i_scaled == pytest.approx(spherical_in(l, x) * math.exp(-x),
-                                       rel=1e-10, abs=1e-280)
-    assert s.k_scaled == pytest.approx(spherical_kn(l, x) * math.exp(x),
-                                       rel=1e-10)
+    ik = _sph_ik_pair_scaled(l, x)
+    assert ik[1] == pytest.approx(spherical_in(l, x) * math.exp(-x),
+                                  rel=1e-10, abs=1e-280)
+    assert ik[3] == pytest.approx(spherical_kn(l, x) * math.exp(x),
+                                  rel=1e-10)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import spherical_jn
 
 import qcloak as qc
 from qcloak.errors import DomainError
@@ -84,6 +86,29 @@ class TestNeumannCore:
         cs, ca = qc.DOUBLED_CORE
         traps = qc.interior_trap_energies(W, cs, ca, (0.4, 0.6), 8)
         assert traps == []
+
+    def test_coreless_trap_is_the_free_core_level(self):
+        # W = None is the free unit core: its l = 1 Neumann level x1^2,
+        # with x1 the first zero of j_1', maps to x1^2 sigma/a
+        x1 = brentq(lambda x: spherical_jn(1, x, derivative=True), 1.5, 2.5,
+                    xtol=1e-15)
+        cs, ca = qc.DOUBLED_CORE
+        traps = qc.interior_trap_energies(None, cs, ca, (0.9, 1.2), 2)
+        assert len(traps) == 1
+        assert traps[0][1] == 1
+        assert traps[0][0] == pytest.approx(x1 ** 2 * cs / ca, abs=1e-10)
+
+    @pytest.mark.parametrize("c_inn", [-98.5, 1.858, -71.45])
+    def test_levels_carry_the_solved_concentration(self, c_inn):
+        # the core problem's domain is the core, so the concentration a
+        # normed solve reports at each level is exactly 1
+        W = qc.CorePotential.step(c_inn, 0.9)
+        levels = [pt for l in range(3)
+                  for pt in qc.neumann_core_eigenvalues(W, l, (0.05, 30.0))]
+        assert levels
+        for pt in levels:
+            sol = qc.solve_core_channel(W, pt.l, pt.E, want_norms=True)
+            assert pt.concentration == sol.concentration == 1.0
 
 
 class TestClassification:
