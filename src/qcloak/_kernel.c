@@ -259,12 +259,14 @@ static void substep_ends(double a, double b, int isub, int nsub, int power,
 typedef struct {
     double p, q, i_core, i_total, i_logoff;
     int overflow;
+    long zeros;
 } March;
 
 /* March the regular solution of channel l through the n shells bounded by
  * r[0..n]; see qcloak._kernel_py.propagate.  gam receives v'/v at each
  * shell's outer boundary, samp_v the v at the n_samp sorted radii samp_r in
- * units of the final state; samp_lam is scratch. */
+ * units of the final state; samp_lam is scratch.  out->zeros counts the sign
+ * changes of v between substep ends, which is every zero of v. */
 static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                   const double *w, double r_core, int want_norms,
                   Py_ssize_t n_samp, const double *samp_r, double *samp_v,
@@ -275,7 +277,8 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
     double lam = 0.0, i_core = 0.0, i_total = 0.0, i_logoff = 0.0;
     double a, b, sa, sb, m, dlam, f, add_core, add_total, scale, dv;
     Py_ssize_t ish, si = 0;
-    int isub, nsub, power, overflow = 0;
+    int isub, nsub, power, neg, overflow = 0;
+    long zeros = 0;
     Local loc;
 
     for (ish = 0; ish < n; ish++) {
@@ -319,7 +322,9 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                            &samp_v[si], &dv);
                 samp_lam[si] = lam;
             }
+            neg = p < 0.0;
             local_eval(&loc, sb, &p, &q);
+            zeros += (p < 0.0) != neg;
             m = hypot(p, q);
             p /= m;
             q /= m;
@@ -343,7 +348,7 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
         f = samp_lam[si] - lam;
         samp_v[si] *= exp(f > 700.0 ? 700.0 : f);
     }
-    *out = (March){p, q, i_core, i_total, i_logoff, overflow};
+    *out = (March){p, q, i_core, i_total, i_logoff, overflow, zeros};
 }
 
 /* ---- CPython glue ---------------------------------------------------- */
@@ -437,9 +442,10 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
     samples = tup[3] != NULL ? float_list(sv, n_samp) : Py_NewRef(Py_None);
     if (samples == NULL)
         goto done;
-    res = PyObject_CallFunction(KernelResult, "ddOdddOO", m.p, m.q, gam_list,
-                                m.i_core, m.i_total, m.i_logoff, samples,
-                                m.overflow ? Py_True : Py_False);
+    res = PyObject_CallFunction(KernelResult, "ddOdddOOl", m.p, m.q,
+                                gam_list, m.i_core, m.i_total, m.i_logoff,
+                                samples, m.overflow ? Py_True : Py_False,
+                                m.zeros);
 done:
     PyMem_Free(buf);
     Py_XDECREF(gam_list);

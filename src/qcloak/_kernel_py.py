@@ -54,6 +54,7 @@ class KernelResult(NamedTuple):
     i_logoff: float           # add to log(i_*) to undo overflow rescales
     samples: Optional[list]   # v at sample_r, units of the final state
     overflow: bool
+    zeros: int                # sign changes of v between substep ends
 
 
 class _Local:
@@ -161,6 +162,12 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     r has N+1 boundaries starting at 0; k2 and w hold per-shell squared
     wavenumbers and derivative-continuity weights.  sample_r must be sorted
     ascending within (0, r[-1]].
+
+    `zeros` counts the sign changes of v between consecutive substep ends,
+    which is every zero of v in (0, r[-1]): a substep holds at most one
+    (oscillating substeps span k*h <= _PHASE_CAP < pi; evanescent and
+    power-law ones have at most one root), and neither interfaces nor
+    renormalisation change the sign of v.
     """
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
@@ -175,6 +182,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     samp_lam = [0.0] * n_samp
     si = 0
     overflow = False
+    zeros = 0
 
     for ish in range(n_shell):
         a = r[ish] if ish > 0 else r_eps
@@ -217,7 +225,9 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                 samples[si] = loc.value(max(sample_r[si], r_eps))
                 samp_lam[si] = lam
                 si += 1
+            neg = p < 0.0
             p, q = loc.eval(sb)
+            zeros += (p < 0.0) != neg
             m = math.hypot(p, q)
             p /= m
             q /= m
@@ -238,7 +248,8 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     if sample_r is not None:
         out = [val * math.exp(min(sl - lam, 700.0))
                for val, sl in zip(samples, samp_lam)]
-    return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow)
+    return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow,
+                        zeros)
 
 
 def shell_transfer(l: int, a: float, b: float, k2: float) -> list:

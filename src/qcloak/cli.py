@@ -432,7 +432,7 @@ def cmd_scenario(cfg: ExperimentConfig, outdir: Path, name: str) -> dict:
         found = []
         for l in range(0, 4):
             found.extend(spectral.dirichlet_eigenvalues(
-                system, l, (0.25, 0.8), n_scan=1201))
+                system, l, (0.25, 0.8)))
         interior = [p for p in found if p.kind == "interior"]
         if interior:
             pick = min(interior, key=lambda p: abs(p.E - cfg.E))

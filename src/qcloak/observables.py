@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, GeometryError, NearEigenvalueError
+from .media import R_OUTER
 from .propagate import (ChannelSolution, System, default_l_max, shell_stack,
                         solve_channel)
 from .special import spherical_bessel
@@ -177,10 +178,11 @@ def dn_spectrum(system: System, E: float,
     return DNSpectrum(E, tuple(lam))
 
 
-def free_dn_spectrum(E: float, l_max: int, radius: float = 3.0) -> DNSpectrum:
-    """Analytic free-space channel values k j_l'(k R)/j_l(k R)."""
+def free_dn_spectrum(E: float, l_max: int) -> DNSpectrum:
+    """Analytic free-space channel values k j_l'(k R)/j_l(k R) at
+    R = R_OUTER."""
     k = math.sqrt(E)
-    x = k * radius
+    x = k * R_OUTER
     lam = []
     for l in range(l_max + 1):
         s = spherical_bessel(l, x)

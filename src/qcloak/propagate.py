@@ -144,7 +144,9 @@ class ChannelSolution:
     Norms are L^2 masses of the radial factor (with the rho^2 measure),
     reported per unit boundary value u(r_max) = 1 and kept in log form so
     near-eigenvalue blowups stay representable.  ``gamma_v`` holds v'/v
-    (v = rho u) on the inner side of each shell boundary.
+    (v = rho u) on the inner side of each shell boundary.  ``zeros`` is the
+    number of zeros of v in (0, r_max); by the oscillation theorem it counts
+    the Dirichlet levels (u(r_max) = 0) below E.
     """
 
     l: int
@@ -157,6 +159,7 @@ class ChannelSolution:
     log_norm_core: float
     log_norm_total: float
     concentration: float
+    zeros: int
     overflow: bool = False
     sample_r: Optional[tuple] = None
     sample_u: Optional[tuple] = None   # u(rho)/u(r_max)
@@ -230,7 +233,7 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         l=l, E=E, r_max=r_max, boundaries=tuple(edges),
         gamma_v=tuple(res.gam_v), p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
-        concentration=conc, overflow=res.overflow,
+        concentration=conc, zeros=res.zeros, overflow=res.overflow,
         sample_r=tuple(samp) if samp is not None else None,
         sample_u=sample_u)
 

@@ -7,11 +7,15 @@ system with unit boundary data and scanning E exposes the simple-pole
 structure of the eigenfunction expansion: the core response grows like
 1/|E - E_j| near an isolated level, which is fitted and reported.
 
-Every eigenvalue search is one `_roots` call: sign-change brackets from a
-scan, each polished by `brentq`.  Concentrations between the `MIXED_BAND`
-limits classify a level as mixed; `resonance_scan` evaluates a pole's
-amplification `POLE_OFFSET` from it and reports poles above
-`AMP_THRESHOLD`.
+Dirichlet levels are located by their Sturm count: the march's
+`ChannelSolution.zeros` is the number of levels below E (oscillation
+theorem), so bisecting the count between the window ends gives one bracket
+per level whatever their spacing, and `brentq` polishes each to
+`LEVEL_XTOL`.  The Neumann-core and free-ball searches are one `_roots`
+call each: sign-change brackets from a scan, each polished by `brentq`.
+Concentrations between the `MIXED_BAND` limits classify a level as mixed;
+`resonance_scan` evaluates a pole's amplification `POLE_OFFSET` from it and
+reports poles above `AMP_THRESHOLD`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ MIXED_BAND = (0.4, 0.6)
 POLE_OFFSET = 1e-8
 #: amplification a located pole must reach to be reported
 AMP_THRESHOLD = 100.0
+#: brentq tolerance in E of every located Dirichlet level
+LEVEL_XTOL = 1e-12
+#: |v(3)| of the unit end state below which a window end warns as a level
+ENDPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,28 +104,69 @@ def _roots(f, lo: float, hi: float, n: int, xtol: float) -> list:
     return [brentq(f, a, b, xtol=xtol) for a, b in _sign_scan(f, lo, hi, n)]
 
 
+def _level_brackets(solve, lo, s_lo, hi, s_hi) -> list:
+    """(a, b, n): subintervals of [lo, hi] holding n > 0 Dirichlet levels,
+    bisected on the Sturm count `solve(E).zeros` until n == 1 or the
+    interval is no wider than LEVEL_XTOL.  s_lo, s_hi are the end solves."""
+    out = []
+    stack = [(lo, s_lo, hi, s_hi)]
+    while stack:
+        a, sa, b, sb = stack.pop()
+        n = sb.zeros - sa.zeros
+        if n <= 0:
+            continue
+        m = 0.5 * (a + b)
+        if n == 1 or b - a <= LEVEL_XTOL or not a < m < b:
+            out.append((a, b, n))
+            continue
+        sm = solve(m)
+        # the lower half goes on top, so brackets come out ascending
+        stack.append((m, sm, b, sb))
+        stack.append((a, sa, m, sm))
+    return out
+
+
 def dirichlet_eigenvalues(system: System, l: int,
                           window: tuple[float, float],
-                          n_scan: Optional[int] = None,
-                          xtol: float = 1e-10) -> list[SpectralPoint]:
-    """Roots of u_l(3; E) = 0 in the window, bisected to xtol in E and
+                          n_scan: Optional[int] = None) -> list[SpectralPoint]:
+    """Roots of u_l(3; E) = 0 in the window, located to LEVEL_XTOL in E and
     annotated with the mode's core concentration.
 
-    An empty list means the window contains no sign change (not an error).
+    The Sturm count `ChannelSolution.zeros` (the number of levels below E)
+    is taken at both window ends and bisected until each bracket holds one
+    level, which `brentq` then polishes, so every level in the window is
+    found however close it sits to another.  Levels closer together than
+    LEVEL_XTOL cannot be told apart: such a cluster of n levels warns and
+    is reported as n points at its bracket's midpoint.  A window end within
+    ENDPOINT_TOL of a level (|v(3)| of the unit end state) warns too.
+    `n_scan` is accepted for callers of the former grid scan and unused.
+
+    An empty list means the window contains no level (not an error).
     """
     lo, hi = window
     if not hi > lo:
         raise DomainError("window must be a nonempty interval")
 
-    def f(E):
-        return solve_channel(system, l, E, want_norms=False).dirichlet_value
+    def solve(E):
+        return solve_channel(system, l, E, want_norms=False)
 
+    def f(E):
+        return solve(E).dirichlet_value
+
+    s_lo, s_hi = solve(lo), solve(hi)
+    if min(abs(s.dirichlet_value) for s in (s_lo, s_hi)) < ENDPOINT_TOL:
+        warnings.warn("root sits on a window endpoint; extend the window")
     points = []
-    # default scan step: window/2000
-    for root in _roots(f, lo, hi, n_scan or 2001, xtol):
+    for a, b, n in _level_brackets(solve, lo, s_lo, hi, s_hi):
+        if n == 1:
+            root = brentq(f, a, b, xtol=LEVEL_XTOL)
+        else:
+            root = 0.5 * (a + b)
+            warnings.warn(f"{n} levels closer than LEVEL_XTOL near "
+                          f"E = {root!r}; each is reported there")
         conc = solve_channel(system, l, root).concentration
-        points.append(SpectralPoint(root, l, classify(conc), conc,
-                                    "dirichlet-b3"))
+        points.extend([SpectralPoint(root, l, classify(conc), conc,
+                                     "dirichlet-b3")] * n)
     return points
 
 
@@ -208,8 +257,7 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     lo, hi = E_range
     grid = np.linspace(lo, hi, n_scan)
     amps = np.array([_amplification(system, l, E) for E in grid])
-    poles = dirichlet_eigenvalues(system, l, E_range,
-                                  n_scan=max(n_scan, 401), xtol=1e-12)
+    poles = dirichlet_eigenvalues(system, l, E_range)
 
     best = None
     for pt in poles:

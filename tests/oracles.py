@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the package's propagation kernels:
 closed forms, scipy special functions, adaptive ODE integration, and a
-finite-difference tensor push-forward.  Two differential references replay
-former package code: `scalar_exterior_field`, the point-by-point exterior
-field on phase shifts the caller supplies, and the per-solve shell array
-builders (`_acoustic_arrays`, `_schrodinger_arrays`, `core_neumann_arrays`)
-that the shell stack replaced, kept verbatim.
+finite-difference tensor push-forward.  Three differential references
+replay former package code: `scalar_exterior_field`, the point-by-point
+exterior field on phase shifts the caller supplies; the per-solve shell
+array builders (`_acoustic_arrays`, `_schrodinger_arrays`,
+`core_neumann_arrays`) that the shell stack replaced, kept verbatim; and
+`grid_dirichlet_levels`, the sign-scan eigenvalue search that the Sturm
+count replaced.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -20,7 +23,8 @@ from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_jn, spherical_yn
 
 from qcloak.media import CorePotential, RadialPotential
-from qcloak.propagate import AcousticSystem
+from qcloak.propagate import AcousticSystem, solve_channel
+from qcloak.spectral import classify
 
 
 def free_log_derivative(l: int, E: float, r: float = 3.0) -> float:
@@ -334,3 +338,43 @@ def core_neumann_arrays(W: CorePotential, E: float):
           for lo, hi in zip(edges[:-1], edges[1:])]
     w = [1.0] * len(k2)
     return edges, k2, w
+
+
+# --- former Dirichlet eigenvalue search (grid scan + brentq), verbatim ----
+
+def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
+    """Sign-change brackets of f on [lo, hi]; clustered changes trigger a
+    local 10x rescan up to `refine` levels."""
+    xs = np.linspace(lo, hi, n)
+    vals = np.array([f(x) for x in xs])
+    scale = np.max(np.abs(vals))
+    if scale > 0.0 and (abs(vals[0]) < 1e-9 * scale
+                        or abs(vals[-1]) < 1e-9 * scale):
+        warnings.warn("root sits on a scan endpoint; extend the window")
+    flips = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
+    brackets = []
+    clustered = set(flips) & set(flips + 1) | set(flips) & set(flips - 1)
+    for i in flips:
+        if i in clustered and refine > 0:
+            brackets.extend(_sign_scan(f, xs[i], xs[i + 1], 11,
+                                       refine=refine - 1))
+        else:
+            brackets.append((xs[i], xs[i + 1]))
+    return brackets
+
+
+def grid_dirichlet_levels(system, l: int, window, n_scan: int = 2001,
+                          xtol: float = 1e-10) -> list:
+    """(E, kind) of the roots of u_l(3; E) found by an n_scan-point sign
+    scan of the window, each polished by brentq and classified by the
+    concentration of a normed solve there.  A grid step holding two roots
+    shows no sign change, so both are missed."""
+    def f(E):
+        return solve_channel(system, l, E, want_norms=False).dirichlet_value
+
+    levels = []
+    for a, b in _sign_scan(f, window[0], window[1], n_scan):
+        root = brentq(f, a, b, xtol=xtol)
+        levels.append((root, classify(
+            solve_channel(system, l, root).concentration)))
+    return levels

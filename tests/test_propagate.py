@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import spherical_jn
 
 import qcloak as qc
 from qcloak import _kernel_py, propagate
@@ -42,13 +43,15 @@ def kernel_stacks(draw):
 
 
 def assert_kernels_agree(a, b):
-    """Compiled result a against the Python twin's b, at parity tolerance.
+    """Compiled result a against the Python twin's b, at parity tolerance;
+    the Sturm count `zeros` must be equal.
 
     A NaN must be NaN on both backends.
     """
     assert a.p3 == pytest.approx(b.p3, abs=5e-13, nan_ok=True)
     assert a.q3 == pytest.approx(b.q3, abs=5e-13, nan_ok=True)
     assert a.i_total == pytest.approx(b.i_total, rel=1e-11, nan_ok=True)
+    assert a.zeros == b.zeros
     if b.samples is None:
         assert a.samples is None
     else:
@@ -174,6 +177,35 @@ class TestFreeSolutions:
         assert sol.norm_core <= sol.norm_total
 
 
+class TestSturmCount:
+    """`zeros` counts the zeros of v = rho u in (0, r_max), which by the
+    oscillation theorem is the number of Dirichlet levels below E."""
+
+    @pytest.mark.parametrize("l", range(11))
+    def test_free_ball_counts_the_zeros_of_j_l(self, free_medium, l):
+        energies = (0.3, 2.0, 9.0, 30.0)
+        levels = [oracles.free_dirichlet_root(1, l)]
+        while levels[-1] < energies[-1]:
+            levels.append(oracles.free_dirichlet_root(len(levels) + 1, l))
+        for E in energies:
+            below = sum(level < E for level in levels)
+            assert qc.solve_channel(free_medium, l, E).zeros == below
+
+    @pytest.mark.parametrize("l", range(7))
+    def test_free_unit_core_counts_its_neumann_levels(self, l):
+        # Neumann levels of the free unit ball are x^2 with j_l'(x) = 0,
+        # plus the constant mode at 0 for l = 0; their count below E is the
+        # zero count, plus one where u'/u = (q - p)/p is negative at r = 1
+        free_core = qc.CorePotential(((1.0, 0.0),))
+        for E in (0.5, 7.0, 23.0, 61.0):
+            x = np.linspace(1e-6, math.sqrt(E), 40001)
+            d = spherical_jn(l, x, derivative=True)
+            below = int(np.sum(np.signbit(d[1:]) != np.signbit(d[:-1])))
+            below += l == 0
+            sol = qc.solve_core_channel(free_core, l, E)
+            assert sol.zeros + (sol.p_end * sol.neumann_value < 0.0) == below
+
+
 class TestSquareWell:
     def test_log_derivative_closed_form(self):
         pot = qc.RadialPotential((qc.PotentialShell(0.0, 1.0, -2.0),
@@ -280,8 +312,11 @@ class TestKernelInternals:
     @given(args=kernel_stacks())
     def test_compiled_matches_python_on_random_stacks(self, compiled_kernel,
                                                       args):
-        assert_kernels_agree(compiled_kernel.propagate(*args),
-                             _kernel_py.propagate(*args))
+        ours = _kernel_py.propagate(*args)
+        assert_kernels_agree(compiled_kernel.propagate(*args), ours)
+        # v starts positive and every zero flips its sign
+        if ours.p3 != 0.0 and math.isfinite(ours.p3):
+            assert (ours.p3 < 0.0) == (ours.zeros % 2 == 1)
 
     def test_compiled_transfer_matches_python(self, compiled_kernel):
         for k2 in (-60.0, 0.0, 17.0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 import qcloak as qc
+from qcloak import _kernel_py, propagate, spectral
 from qcloak.errors import DomainError
 from qcloak.spectral import classify
 
@@ -49,6 +51,53 @@ class TestDirichletEigenvalues:
                                   qc.PotentialShell(1.0, 3.0, 0.0)))
         pts = [p.E for p in qc.dirichlet_eigenvalues(pot, 0, window)]
         assert all(b - a > 0.9 * gap_floor for a, b in zip(pts, pts[1:]))
+
+    def test_levels_do_not_depend_on_the_grid(self, free_medium):
+        # both free levels (pi/3)^2 and (2 pi/3)^2 fall in the first step of
+        # a 3-point grid on this window, so the former sign scan saw none
+        window = (0.5, 9.0)
+        assert oracles.grid_dirichlet_levels(free_medium, 0, window,
+                                             n_scan=3) == []
+        found = [qc.dirichlet_eigenvalues(free_medium, 0, window, n_scan=n)
+                 for n in (None, 3, 64, 2001)]
+        assert all(pts == found[0] for pts in found)
+        assert [p.E for p in found[0]] == pytest.approx(
+            [oracles.free_dirichlet_root(1), oracles.free_dirichlet_root(2)],
+            abs=1e-12)
+
+    def test_levels_closer_than_xtol_are_reported_together(
+            self, free_medium, monkeypatch):
+        # a bracket no wider than LEVEL_XTOL that still holds two levels
+        # cannot be split: both are reported at its midpoint, with a warning
+        monkeypatch.setattr(spectral, "LEVEL_XTOL", 10.0)
+        with pytest.warns(UserWarning, match="2 levels closer than"):
+            pts = qc.dirichlet_eigenvalues(free_medium, 0, (0.5, 9.0))
+        assert [p.E for p in pts] == [4.75, 4.75]
+        assert pts[0] == pts[1]
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_same_levels_as_the_grid_search(self, cloak_builder, backend,
+                                            request, monkeypatch):
+        # the former sign scan (on a grid fine enough for these windows)
+        # and the Sturm-count search agree on every reference cloak
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        found = 0
+        for c_inn in (-71.45, -98.5, 1.858):
+            acoustic = cloak_builder(1.005, 50, c_inn)
+            gauge = qc.attach_core(qc.gauge_potential(acoustic.medium, E0),
+                                   acoustic.core)
+            for system, l, window in itertools.product(
+                    (acoustic, gauge), range(4), ((0.25, 0.8), (0.05, 4.0))):
+                old = oracles.grid_dirichlet_levels(system, l, window,
+                                                    n_scan=101, xtol=1e-12)
+                new = qc.dirichlet_eigenvalues(system, l, window)
+                assert [p.kind for p in new] == [kind for _, kind in old]
+                assert [p.E for p in new] == pytest.approx(
+                    [E for E, _ in old], abs=2e-10)
+                found += len(new)
+        assert found == 43
 
     def test_rescan_stability_on_cloak(self, cloak_builder):
         system = cloak_builder(1.005, 50, c_inn=-71.45)
