@@ -4,7 +4,9 @@
  * The numerics are plain C99 and repeat the twin's operations in the same
  * order, so the two agree to rounding.  The CPython glue at the end converts
  * the arguments, runs the march with the GIL released and returns a
- * qcloak._kernel_py.KernelResult.
+ * qcloak._kernel_py.KernelResult.  want_norms takes the twin's values:
+ * False, True, or its CORE_ONLY (read from the twin at import), which
+ * integrates v^2 only inside r_core.
  *
  * Build in place with `python setup.py build_ext --inplace`.
  */
@@ -263,14 +265,16 @@ typedef struct {
 } March;
 
 /* March the regular solution of channel l through the n shells bounded by
- * r[0..n]; see qcloak._kernel_py.propagate.  gam receives v'/v at each
- * shell's outer boundary, samp_v the v at the n_samp sorted radii samp_r in
- * units of the final state; samp_lam is scratch.  out->zeros counts the sign
- * changes of v between substep ends, which is every zero of v. */
+ * r[0..n]; see qcloak._kernel_py.propagate.  want_norms integrates v^2;
+ * core_only then computes no panel beyond r_core, so i_total equals i_core.
+ * gam receives v'/v at each shell's outer boundary, samp_v the v at the
+ * n_samp sorted radii samp_r in units of the final state; samp_lam is
+ * scratch.  out->zeros counts the sign changes of v between substep ends,
+ * which is every zero of v. */
 static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                   const double *w, double r_core, int want_norms,
-                  Py_ssize_t n_samp, const double *samp_r, double *samp_v,
-                  double *samp_lam, double *gam, March *out)
+                  int core_only, Py_ssize_t n_samp, const double *samp_r,
+                  double *samp_v, double *samp_lam, double *gam, March *out)
 {
     double r_eps = 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
     double h = hypot(r_eps, l + 1.0), p = r_eps / h, q = (l + 1.0) / h;
@@ -306,11 +310,12 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                 add_core = 0.0;
                 add_total = 0.0;
                 if (sa < r_core && r_core < sb) {
-                    add_core = panel(&loc, sa, r_core);
-                    add_total = add_core + panel(&loc, r_core, sb);
+                    add_core = add_total = panel(&loc, sa, r_core);
+                    if (!core_only)
+                        add_total += panel(&loc, r_core, sb);
                 } else if (sb <= r_core) {
                     add_core = add_total = panel(&loc, sa, sb);
-                } else {
+                } else if (!core_only) {
                     add_total = panel(&loc, sa, sb);
                 }
                 scale = i_logoff != 0.0 ? exp(-i_logoff) : 1.0;
@@ -354,6 +359,7 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
 /* ---- CPython glue ---------------------------------------------------- */
 
 static PyObject *KernelResult;      /* qcloak._kernel_py.KernelResult */
+static long CORE_ONLY = -1;         /* qcloak._kernel_py.CORE_ONLY */
 
 /* Floats of a tuple into buf; a tuple, unlike a list, cannot change size
  * while an item's __float__ runs. */
@@ -394,10 +400,15 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
     March m;
 
     obj[3] = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|dpO:propagate",
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|diO:propagate",
                                      kwlist, &l, &obj[0], &obj[1], &obj[2],
                                      &r_core, &want_norms, &obj[3]))
         return NULL;
+    if (want_norms != 0 && want_norms != 1 && want_norms != CORE_ONLY) {
+        PyErr_Format(PyExc_ValueError, "want_norms must be False, True or "
+                     "CORE_ONLY (%ld), got %d", CORE_ONLY, want_norms);
+        return NULL;
+    }
     for (i = 0; i < 4; i++)
         if ((i < 3 || obj[3] != Py_None)
                 && (tup[i] = PySequence_Tuple(obj[i])) == NULL)
@@ -433,8 +444,8 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
         goto done;
 
     Py_BEGIN_ALLOW_THREADS
-    march(l, n, r, k2, w, r_core, want_norms, n_samp, sr, sv, sv + n_samp,
-          gam, &m);
+    march(l, n, r, k2, w, r_core, want_norms != 0, want_norms == CORE_ONLY,
+          n_samp, sr, sv, sv + n_samp, gam, &m);
     Py_END_ALLOW_THREADS
 
     if ((gam_list = float_list(gam, n)) == NULL)
@@ -499,11 +510,15 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    PyObject *twin;
+    PyObject *twin, *core_only;
     if (KernelResult == NULL) {
         if ((twin = PyImport_ImportModule("qcloak._kernel_py")) == NULL)
             return NULL;
-        KernelResult = PyObject_GetAttrString(twin, "KernelResult");
+        core_only = PyObject_GetAttrString(twin, "CORE_ONLY");
+        CORE_ONLY = core_only != NULL ? PyLong_AsLong(core_only) : -1;
+        Py_XDECREF(core_only);
+        if (!PyErr_Occurred())
+            KernelResult = PyObject_GetAttrString(twin, "KernelResult");
         Py_DECREF(twin);
         if (KernelResult == NULL)
             return NULL;

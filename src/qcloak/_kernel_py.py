@@ -15,7 +15,9 @@ Substep representation: the local solution is expanded in the fundamental
 pair of the shell (Riccati-Bessel, scaled modified Riccati-Bessel, or power
 law near zero wavenumber) with coefficients solved from the entering state;
 the same expansion supplies Gauss-Legendre quadrature of |v|^2 for the norm
-accumulators and point samples for field maps.
+accumulators and point samples for field maps.  Norms are integrated only as
+far out as the caller reads them: `want_norms=CORE_ONLY` skips every panel
+beyond r_core.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ _POWER_RATIO_CAP = 1.25          # max b/a per power-law substep
 _EPS_ORIGIN = 1e-6               # analytic power-law start radius
 _NORM_CEIL = 1e250
 _NORM_SHIFT = 100.0 * math.log(10.0)
+#: `want_norms` value that integrates v^2 inside r_core only; i_total then
+#: equals i_core bit for bit
+CORE_ONLY = 2
 
 _G8_NODES = (
     -0.9602898564975363, -0.7966664774136267, -0.5255324099163290,
@@ -155,7 +160,7 @@ def _panel(loc: _Local, lo: float, hi: float) -> float:
 
 def propagate(l: int, r: Sequence[float], k2: Sequence[float],
               w: Sequence[float], r_core: float = 1.0,
-              want_norms: bool = True,
+              want_norms: int = True,
               sample_r: Optional[Sequence[float]] = None) -> KernelResult:
     """March the regular solution of channel l outward through the shells.
 
@@ -163,12 +168,20 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     wavenumbers and derivative-continuity weights.  sample_r must be sorted
     ascending within (0, r[-1]].
 
+    want_norms is False (no norms: i_core = i_total = 0), True (both) or
+    CORE_ONLY, which computes no quadrature panel beyond r_core, so i_total
+    equals i_core; any other value raises ValueError.
+
     `zeros` counts the sign changes of v between consecutive substep ends,
     which is every zero of v in (0, r[-1]): a substep holds at most one
     (oscillating substeps span k*h <= _PHASE_CAP < pi; evanescent and
     power-law ones have at most one root), and neither interfaces nor
     renormalisation change the sign of v.
     """
+    if want_norms not in (False, True, CORE_ONLY):
+        raise ValueError(f"want_norms must be False, True or CORE_ONLY "
+                         f"({CORE_ONLY}), got {want_norms!r}")
+    outer = want_norms != CORE_ONLY
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
     h = math.hypot(r_eps, l + 1.0)
@@ -212,11 +225,12 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                 add_core = 0.0
                 add_total = 0.0
                 if sa < r_core < sb:
-                    add_core = _panel(loc, sa, r_core)
-                    add_total = add_core + _panel(loc, r_core, sb)
+                    add_core = add_total = _panel(loc, sa, r_core)
+                    if outer:
+                        add_total += _panel(loc, r_core, sb)
                 elif sb <= r_core:
                     add_core = add_total = _panel(loc, sa, sb)
-                else:
+                elif outer:
                     add_total = _panel(loc, sa, sb)
                 scale = math.exp(-i_logoff) if i_logoff else 1.0
                 i_core += add_core * scale

@@ -39,6 +39,8 @@ else:
         _impl = _kernel_py
 
 KERNEL_BACKEND = "compiled" if _impl is not _kernel_py else "python"
+#: `want_norms` value for a solve that reads only `log_norm_core`
+CORE_ONLY = _kernel_py.CORE_ONLY
 
 _TINY = 1e-300
 #: channels kept above the centrifugal cut-off by `default_l_max`
@@ -146,7 +148,9 @@ class ChannelSolution:
     near-eigenvalue blowups stay representable.  ``gamma_v`` holds v'/v
     (v = rho u) on the inner side of each shell boundary.  ``zeros`` is the
     number of zeros of v in (0, r_max); by the oscillation theorem it counts
-    the Dirichlet levels (u(r_max) = 0) below E.
+    the Dirichlet levels (u(r_max) = 0) below E.  A solve with
+    ``want_norms=CORE_ONLY`` integrates the mass inside the core only and
+    reports ``log_norm_total`` and ``concentration`` as NaN.
     """
 
     l: int
@@ -217,9 +221,12 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
     pa = max(abs(res.p3), _TINY)
     log_core = (math.log(max(res.i_core, _TINY)) + res.i_logoff
                 + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
-    log_total = (math.log(max(res.i_total, _TINY)) + res.i_logoff
-                 + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
-    conc = res.i_core / res.i_total if res.i_total > 0.0 else 0.0
+    if want_norms == CORE_ONLY:
+        log_total = conc = math.nan
+    else:
+        log_total = (math.log(max(res.i_total, _TINY)) + res.i_logoff
+                     + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
+        conc = res.i_core / res.i_total if res.i_total > 0.0 else 0.0
     sample_u = None
     if samp is not None:
         # samples below the kernel's start radius were evaluated there, so
@@ -238,7 +245,7 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         sample_u=sample_u)
 
 
-def solve_channel(system: System, l: int, E: float, want_norms: bool = True,
+def solve_channel(system: System, l: int, E: float, want_norms: int = True,
                   sample_r: Optional[Sequence[float]] = None
                   ) -> ChannelSolution:
     """Regular solution of channel l at energy E, for every system.
@@ -249,6 +256,9 @@ def solve_channel(system: System, l: int, E: float, want_norms: bool = True,
     ones match psi and psi', interface-matched ones apply the gauge jump
     (psi scales by sqrt(sigma+/sigma-), sigma (psi/sqrt(sigma))' continuous),
     which makes the solve exactly gauge-equivalent to the acoustic one.
+
+    want_norms is False, True or CORE_ONLY (the core mass alone, for callers
+    that read only ``log_norm_core``).
     """
     st = shell_stack(system)
     return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)

@@ -13,6 +13,10 @@ theorem), so bisecting the count between the window ends gives one bracket
 per level whatever their spacing, and `brentq` polishes each to
 `LEVEL_XTOL`.  The Neumann-core and free-ball searches are one `_roots`
 call each: sign-change brackets from a scan, each polished by `brentq`.
+Every bracket carries the function values its search already computed at
+its ends, so `brentq` solves neither end again (`_polish`).  The driven
+core response that certifies a pole reads only the core mass, so its
+solves skip the norm quadrature beyond the core (`CORE_ONLY`).
 Concentrations between the `MIXED_BAND` limits classify a level as mixed;
 `resonance_scan` evaluates a pole's amplification `POLE_OFFSET` from it and
 reports poles above `AMP_THRESHOLD`.
@@ -30,7 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError
 from .media import R_OUTER, CorePotential
-from .propagate import System, solve_channel, solve_core_channel
+from .propagate import CORE_ONLY, System, solve_channel, solve_core_channel
 from .special import spherical_bessel
 
 #: concentration band reported as "mixed" between interior and exterior
@@ -78,8 +82,8 @@ def classify(concentration: float) -> str:
 
 
 def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
-    """Sign-change brackets of f on [lo, hi]; clustered changes trigger a
-    local 10x rescan up to `refine` levels."""
+    """Sign-change brackets (a, f(a), b, f(b)) of f on [lo, hi]; clustered
+    changes trigger a local 10x rescan up to `refine` levels."""
     xs = np.linspace(lo, hi, n)
     vals = np.array([f(x) for x in xs])
     scale = np.max(np.abs(vals))
@@ -94,20 +98,34 @@ def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
             brackets.extend(_sign_scan(f, xs[i], xs[i + 1], 11,
                                        refine=refine - 1))
         else:
-            brackets.append((xs[i], xs[i + 1]))
+            brackets.append((xs[i], vals[i], xs[i + 1], vals[i + 1]))
     return brackets
+
+
+def _polish(f, a, fa, b, fb, xtol: float) -> float:
+    """brentq root of f in [a, b] given fa = f(a) and fb = f(b): brentq's
+    calls at exactly a and b are answered from those values."""
+    def known_ends(x):
+        if x == a:
+            return fa
+        if x == b:
+            return fb
+        return f(x)
+
+    return brentq(known_ends, a, b, xtol=xtol)
 
 
 def _roots(f, lo: float, hi: float, n: int, xtol: float) -> list:
     """Roots of f on [lo, hi]: `_sign_scan` brackets on an n-point grid,
     each polished by brentq to xtol."""
-    return [brentq(f, a, b, xtol=xtol) for a, b in _sign_scan(f, lo, hi, n)]
+    return [_polish(f, *bracket, xtol) for bracket in _sign_scan(f, lo, hi, n)]
 
 
 def _level_brackets(solve, lo, s_lo, hi, s_hi) -> list:
-    """(a, b, n): subintervals of [lo, hi] holding n > 0 Dirichlet levels,
-    bisected on the Sturm count `solve(E).zeros` until n == 1 or the
-    interval is no wider than LEVEL_XTOL.  s_lo, s_hi are the end solves."""
+    """(a, s_a, b, s_b, n): subintervals of [lo, hi] holding n > 0 Dirichlet
+    levels with their end solves, bisected on the Sturm count
+    `solve(E).zeros` until n == 1 or the interval is no wider than
+    LEVEL_XTOL.  s_lo, s_hi are the window's end solves."""
     out = []
     stack = [(lo, s_lo, hi, s_hi)]
     while stack:
@@ -117,7 +135,7 @@ def _level_brackets(solve, lo, s_lo, hi, s_hi) -> list:
             continue
         m = 0.5 * (a + b)
         if n == 1 or b - a <= LEVEL_XTOL or not a < m < b:
-            out.append((a, b, n))
+            out.append((a, sa, b, sb, n))
             continue
         sm = solve(m)
         # the lower half goes on top, so brackets come out ascending
@@ -157,9 +175,10 @@ def dirichlet_eigenvalues(system: System, l: int,
     if min(abs(s.dirichlet_value) for s in (s_lo, s_hi)) < ENDPOINT_TOL:
         warnings.warn("root sits on a window endpoint; extend the window")
     points = []
-    for a, b, n in _level_brackets(solve, lo, s_lo, hi, s_hi):
+    for a, sa, b, sb, n in _level_brackets(solve, lo, s_lo, hi, s_hi):
         if n == 1:
-            root = brentq(f, a, b, xtol=LEVEL_XTOL)
+            root = _polish(f, a, sa.dirichlet_value, b, sb.dirichlet_value,
+                           LEVEL_XTOL)
         else:
             root = 0.5 * (a + b)
             warnings.warn(f"{n} levels closer than LEVEL_XTOL near "
@@ -228,8 +247,9 @@ def interior_trap_energies(W: Optional[CorePotential], core_sigma: float,
 
 
 def _amplification(system: System, l: int, E: float) -> float:
-    """L2 mass of the core response per unit boundary amplitude u(3) = 1."""
-    sol = solve_channel(system, l, E, want_norms=True)
+    """L2 mass of the core response per unit boundary amplitude u(3) = 1;
+    the solve integrates the core mass only (`CORE_ONLY`)."""
+    sol = solve_channel(system, l, E, want_norms=CORE_ONLY)
     return math.exp(0.5 * min(sol.log_norm_core, 1380.0))
 
 

@@ -6,9 +6,10 @@ finite-difference tensor push-forward.  Three differential references
 replay former package code: `scalar_exterior_field`, the point-by-point
 exterior field on phase shifts the caller supplies; the per-solve shell
 array builders (`_acoustic_arrays`, `_schrodinger_arrays`,
-`core_neumann_arrays`) that the shell stack replaced, kept verbatim; and
+`core_neumann_arrays`) that the shell stack replaced, kept verbatim;
 `grid_dirichlet_levels`, the sign-scan eigenvalue search that the Sturm
-count replaced.
+count replaced; and `_amplification`, the fully normed core response that
+the core-only solve replaced.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_jn, spherical_yn
 
+from qcloak import _kernel_py
 from qcloak.media import CorePotential, RadialPotential
-from qcloak.propagate import AcousticSystem, solve_channel
+from qcloak.propagate import AcousticSystem, System, solve_channel
 from qcloak.spectral import classify
 
 
@@ -378,3 +380,30 @@ def grid_dirichlet_levels(system, l: int, window, n_scan: int = 2001,
         levels.append((root, classify(
             solve_channel(system, l, root).concentration)))
     return levels
+
+
+# --- former core response (a fully normed solve), verbatim ---------------
+
+def _amplification(system: System, l: int, E: float) -> float:
+    """L2 mass of the core response per unit boundary amplitude u(3) = 1."""
+    sol = solve_channel(system, l, E, want_norms=True)
+    return math.exp(0.5 * min(sol.log_norm_core, 1380.0))
+
+
+def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
+    """(edges, k2, w) of an l = 0 stack whose norm accumulators overflow.
+
+    An oscillating core on [0, 1] is followed by n_barrier evanescent
+    shells out to 3.  Each interface weight sets v'/v = -kappa on entry,
+    the log-derivative of the decaying exponential, so v falls by
+    e^(-2 kappa / n_barrier) across every shell and the core mass, in
+    units of the final state, passes the kernel's 1e250 ceiling.
+    """
+    edges, k2, w = [0.0, 1.0], [20.0], [1.0]
+    for i in range(1, n_barrier + 1):
+        a = edges[-1]
+        g = _kernel_py.propagate(0, edges, k2, w, 1.0, False).gam_v[-1]
+        w.append(w[-1] * (g - 1.0 / a) / (-kappa - 1.0 / a))
+        k2.append(-kappa * kappa)
+        edges.append(1.0 + 2.0 * i / n_barrier)
+    return edges, k2, w

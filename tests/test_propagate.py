@@ -9,7 +9,7 @@ import qcloak as qc
 from qcloak import _kernel_py, propagate
 from qcloak.errors import ConfigurationError, DomainError
 from qcloak.media import attach_core, gauge_potential, mollify_medium
-from qcloak.propagate import _solve, shell_stack
+from qcloak.propagate import CORE_ONLY, _solve, shell_stack
 
 import oracles
 
@@ -18,7 +18,8 @@ E0 = 0.5
 
 @st.composite
 def kernel_stacks(draw):
-    """Arguments of a kernel `propagate` call on a random shell stack."""
+    """(l, r, k2, w, sample_r) of a kernel `propagate` call on a random
+    shell stack."""
     n = draw(st.integers(1, 10))
     widths = draw(st.lists(st.floats(0.02, 0.6), min_size=n, max_size=n))
     edges = [0.0]
@@ -38,19 +39,22 @@ def kernel_stacks(draw):
         st.floats(0.0, r_max) | st.sampled_from(
             [0.0, 1e-9, _kernel_py._EPS_ORIGIN, r_max]),
         max_size=12).map(sorted))
-    return (draw(st.integers(0, 60)), edges, k2, w, 1.0, draw(st.booleans()),
-            sample_r)
+    return draw(st.integers(0, 60)), edges, k2, w, sample_r
 
 
 def assert_kernels_agree(a, b):
     """Compiled result a against the Python twin's b, at parity tolerance;
-    the Sturm count `zeros` must be equal.
+    the Sturm count `zeros`, the overflow offset `i_logoff` and the
+    `overflow` flag must be equal.
 
     A NaN must be NaN on both backends.
     """
     assert a.p3 == pytest.approx(b.p3, abs=5e-13, nan_ok=True)
     assert a.q3 == pytest.approx(b.q3, abs=5e-13, nan_ok=True)
+    assert a.i_core == pytest.approx(b.i_core, rel=1e-11, nan_ok=True)
     assert a.i_total == pytest.approx(b.i_total, rel=1e-11, nan_ok=True)
+    assert a.i_logoff == b.i_logoff
+    assert a.overflow is b.overflow
     assert a.zeros == b.zeros
     if b.samples is None:
         assert a.samples is None
@@ -312,8 +316,11 @@ class TestKernelInternals:
     @given(args=kernel_stacks())
     def test_compiled_matches_python_on_random_stacks(self, compiled_kernel,
                                                       args):
-        ours = _kernel_py.propagate(*args)
-        assert_kernels_agree(compiled_kernel.propagate(*args), ours)
+        l, r, k2, w, sample_r = args
+        for want_norms in (False, True, CORE_ONLY):
+            call = (l, r, k2, w, 1.0, want_norms, sample_r)
+            ours = _kernel_py.propagate(*call)
+            assert_kernels_agree(compiled_kernel.propagate(*call), ours)
         # v starts positive and every zero flips its sign
         if ours.p3 != 0.0 and math.isfinite(ours.p3):
             assert (ours.p3 < 0.0) == (ours.zeros % 2 == 1)
@@ -333,6 +340,14 @@ class TestKernelInternals:
         for kernel in (compiled_kernel, _kernel_py):
             with pytest.raises((IndexError, ValueError)):
                 kernel.propagate(2, arrays["r"], arrays["k2"], arrays["w"])
+
+    @pytest.mark.parametrize("want_norms", [3, -1])
+    def test_unknown_norm_modes_raise_on_both_backends(self, compiled_kernel,
+                                                       want_norms):
+        for kernel in (compiled_kernel, _kernel_py):
+            with pytest.raises(ValueError, match="want_norms"):
+                kernel.propagate(0, [0.0, 1.0, 3.0], [0.5, 0.5], [1.0, 1.0],
+                                 1.0, want_norms)
 
     def test_deep_evanescent_stack_stays_finite(self):
         # a tall wide barrier would overflow naive fundamental products
@@ -355,6 +370,51 @@ class TestKernelInternals:
         sol = qc.propagate_schrodinger(pot, 0, trapped[0].E)
         assert math.isfinite(sol.log_norm_core)
         assert sol.norm_core >= 1.0
+
+
+class TestCoreOnlyNorms:
+    """`want_norms=CORE_ONLY` integrates v^2 inside r = 1 only."""
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_core_norm_bitwise_without_overflow(self, cloak_builder,
+                                                backend, request):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        for c_inn in (-71.45, 1.858):
+            st = shell_stack(cloak_builder(1.005, 50, c_inn))
+            for l, E in ((0, 0.44738), (2, 1.3), (5, 3.1)):
+                k2 = st.k2(E)
+                full = kernel.propagate(l, st.edges, k2, st.w, 1.0, True)
+                core = kernel.propagate(l, st.edges, k2, st.w, 1.0,
+                                        CORE_ONLY)
+                assert not full.overflow
+                assert bits([core.i_core, core.i_total, core.i_logoff]) == \
+                    bits([full.i_core, full.i_core, full.i_logoff])
+                assert full.i_total > full.i_core
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_core_norm_on_an_overflowing_stack(self, backend, request,
+                                               monkeypatch):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        edges, k2, w = oracles.overflowing_stack()
+        full = _solve(edges, k2, w, 0, E0, True, None)
+        core = _solve(edges, k2, w, 0, E0, CORE_ONLY, None)
+        assert full.overflow and core.overflow
+        assert core.log_norm_core > 500.0
+        assert core.log_norm_core == pytest.approx(full.log_norm_core,
+                                                   rel=1e-12)
+
+    def test_core_only_solve_reports_nan_total(self, cloak_builder):
+        system = cloak_builder(1.005, 50, -71.45)
+        full = qc.solve_channel(system, 0, E0)
+        core = qc.solve_channel(system, 0, E0, want_norms=CORE_ONLY)
+        assert math.isnan(core.log_norm_total)
+        assert math.isnan(core.concentration)
+        assert core.log_norm_core == full.log_norm_core
+        assert (core.p_end, core.q_end, core.gamma_v, core.zeros) == \
+            (full.p_end, full.q_end, full.gamma_v, full.zeros)
 
 
 class TestHomogenizationLimit:

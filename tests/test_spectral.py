@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -273,6 +274,97 @@ class TestResonanceScan:
         assert len(found_mo) == 1
         assert found_mo[0].E == pytest.approx(found_im[0].E, abs=0.02)
         assert found_mo[0].concentration > 0.9
+
+
+class TestCoreOnlyAmplification:
+    """The core response solves integrate the core mass only and give the
+    same reports as the fully normed solves they replaced."""
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_same_reports_as_the_full_norm_path(self, cloak_builder, backend,
+                                                request, monkeypatch):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        window = (0.25, 2.0)
+        fitted = 0
+        for c_inn in (-71.45, -98.5, 1.858):
+            acoustic = cloak_builder(1.005, 50, c_inn)
+            gauge = qc.attach_core(qc.gauge_potential(acoustic.medium, E0),
+                                   acoustic.core)
+            for system, l in itertools.product((acoustic, gauge), range(4)):
+                poles = [p.E for p in qc.dirichlet_eigenvalues(system, l,
+                                                               window)]
+                new = [qc.resonance_scan(system, l, window, n_scan=61)]
+                new += [qc.fit_pole_exponent(system, l, E, (1e-6, 1e-4))
+                        for E in poles]
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_amplification",
+                              oracles._amplification)
+                    old = [qc.resonance_scan(system, l, window, n_scan=61)]
+                    old += [qc.fit_pole_exponent(system, l, E, (1e-6, 1e-4))
+                            for E in poles]
+                assert pickle.dumps(new) == pickle.dumps(old)
+                fitted += new[0].scaling_exponent is not None
+        assert fitted == 11
+
+
+class TestBracketEnds:
+    """brentq answers each bracket's ends from the values the search
+    already holds: the same roots, two fewer solves a root."""
+
+    @staticmethod
+    def spy_brentq(monkeypatch, solves):
+        """Record (a, b, xtol, root, evaluations, solves) of every
+        spectral.brentq call."""
+        calls = []
+        real = spectral.brentq
+
+        def spy(f, a, b, xtol):
+            evals, n0 = [], len(solves)
+            root = real(lambda x: evals.append(x) or f(x), a, b, xtol=xtol)
+            calls.append((a, b, xtol, root, len(evals), len(solves) - n0))
+            return root
+
+        monkeypatch.setattr(spectral, "brentq", spy)
+        return calls
+
+    @pytest.mark.parametrize("search", ["dirichlet", "neumann-core"])
+    def test_same_roots_two_fewer_solves(self, cloak_builder, monkeypatch,
+                                         search):
+        solves = []
+        solve = propagate._solve
+        monkeypatch.setattr(propagate, "_solve",
+                            lambda *args: solves.append(args) or solve(*args))
+        calls = self.spy_brentq(monkeypatch, solves)
+        if search == "dirichlet":
+            system = cloak_builder(1.005, 50, -71.45)
+            roots = [p.E for p in qc.dirichlet_eigenvalues(system, 0,
+                                                           (0.05, 10.0))]
+
+            def f(E):
+                return qc.solve_channel(system, 0, E,
+                                        want_norms=False).dirichlet_value
+        else:
+            W = qc.CorePotential.step(-71.45, 0.9)
+            roots = [p.E for p in qc.neumann_core_eigenvalues(W, 0,
+                                                              (-70.0, 60.0))]
+
+            def f(E):
+                return qc.solve_core_channel(W, 0, E).neumann_value
+        assert len(roots) == len(calls) >= 3
+        for (a, b, xtol, root, evals, n_solves), r in zip(calls, roots):
+            assert root == r == brentq(f, a, b, xtol=xtol)
+            assert n_solves == evals - 2
+
+    def test_free_ball_levels_unchanged(self, monkeypatch):
+        calls = self.spy_brentq(monkeypatch, [])
+        pairs = qc.free_dirichlet_eigenvalues((0.05, 4.0), 2)
+        assert len(pairs) == len(calls) >= 3
+        for a, b, xtol, root, _, _ in calls:
+            l = next(l for E, l in pairs if E == (root / 3.0) ** 2)
+            assert root == brentq(lambda x: qc.spherical_bessel(l, x).j,
+                                  a, b, xtol=xtol)
 
 
 class TestConcurrency:
