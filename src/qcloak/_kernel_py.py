@@ -15,17 +15,27 @@ Substep representation: the local solution is expanded in the fundamental
 pair of the shell (Riccati-Bessel, scaled modified Riccati-Bessel, or power
 law near zero wavenumber) with coefficients solved from the entering state;
 the same expansion supplies Gauss-Legendre quadrature of |v|^2 for the norm
-accumulators and point samples for field maps.  Norms are integrated only as
-far out as the caller reads them: `want_norms=CORE_ONLY` skips every panel
-beyond r_core.
+accumulators.  Norms are integrated only as far out as the caller reads
+them: `want_norms=CORE_ONLY` skips every panel beyond r_core.
+
+Point samples for field maps never feed back into the march, so the march
+only notes which substep each sample falls in; after it, `_sample_values`
+evaluates every sample of the solve from its substep's expansion in one
+array pass per kind, with the array twins of the Bessel pairs in
+`qcloak.special`.  The values equal those of the scalar expansion bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple, Optional, Sequence
 
-from .special import _sph_ik_pair_scaled, _sph_jy_pair
+import numpy as np
+
+from .special import (_map, _sph_ik_pair_scaled, _sph_ik_pair_scaled_array,
+                      _sph_jy_pair, _sph_jy_pair_array)
 
 # max |k| * (substep width); bounds both the e^(+-2) evanescent growth per
 # substep and the quadrature phase per panel
@@ -137,6 +147,51 @@ class _Local:
         return self.eval(rho)[0]
 
 
+def _kind_values(kind: int, l: int, rho, k, a, A, B) -> np.ndarray:
+    """`_Local.value` of substeps of one kind at the radii rho, as arrays
+    with one element per sample: the same operations in the same order."""
+    if kind == 0:
+        t = rho / a
+        return (A * _map(lambda u: u ** (l + 1), t)
+                + B * _map(lambda u: u ** -l, t))
+    x = k * rho
+    if kind == 1:
+        _, j, _, y = _sph_jy_pair_array(l, x)
+        return A * (x * j) + B * (-x * y)
+    _, i, _, kk = _sph_ik_pair_scaled_array(l, x)
+    d = x - k * a
+    return (A * (x * i * _map(math.exp, d))
+            + B * (x * kk * _map(math.exp, -d)))
+
+
+def _sample_values(l: int, sample_r: Sequence[float], r_eps: float,
+                   lam: float, sampled: list) -> list:
+    """v at sample_r in units of the final state (log scale lam).
+
+    `sampled` holds (expansion, log scale, sample count) of each substep
+    that took samples, in order; the samples it covers come first, and
+    the rest (beyond the last substep) read 0.
+    """
+    out = np.zeros(len(sample_r))
+    if not sampled:
+        return out.tolist()
+    locs, lams, counts = zip(*sampled)
+    n = sum(counts)
+    rho = np.maximum(np.asarray(sample_r[:n], dtype=float), r_eps)
+    cols = np.repeat(np.array([(loc.kind, loc.k, loc.a, loc.A, loc.B)
+                               for loc in locs]), counts, axis=0)
+    kind = cols[:, 0]
+    v = np.empty(n)
+    for kd in (1, -1, 0):
+        sel = kind == kd
+        if sel.any():
+            v[sel] = _kind_values(kd, l, rho[sel], *cols[sel, 1:].T)
+    # one rescale factor per substep, as every sample in it shares its scale
+    scale = [math.exp(min(sl - lam, 700.0)) for sl in lams]
+    out[:n] = v * np.repeat(scale, counts)
+    return out.tolist()
+
+
 def _substeps(a: float, b: float, k2: float, power: bool) -> int:
     if power:
         return max(1, math.ceil(math.log(b / a) / math.log(_POWER_RATIO_CAP)))
@@ -191,8 +246,8 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     i_logoff = 0.0
     gam_v = []
     n_samp = len(sample_r) if sample_r is not None else 0
-    samples = [0.0] * n_samp
-    samp_lam = [0.0] * n_samp
+    samp = list(sample_r) if n_samp else []
+    sampled = []
     si = 0
     overflow = False
     zeros = 0
@@ -235,10 +290,13 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                 scale = math.exp(-i_logoff) if i_logoff else 1.0
                 i_core += add_core * scale
                 i_total += add_total * scale
-            while si < n_samp and sample_r[si] <= sb + 1e-15:
-                samples[si] = loc.value(max(sample_r[si], r_eps))
-                samp_lam[si] = lam
-                si += 1
+            if si < n_samp:
+                # the samples up to sb (+1e-15), which sample_r's order
+                # makes contiguous
+                se = bisect_right(samp, sb + 1e-15, si)
+                if se > si:
+                    sampled.append((loc, lam, se - si))
+                    si = se
             neg = p < 0.0
             p, q = loc.eval(sb)
             zeros += (p < 0.0) != neg
@@ -260,8 +318,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
 
     out = None
     if sample_r is not None:
-        out = [val * math.exp(min(sl - lam, 700.0))
-               for val, sl in zip(samples, samp_lam)]
+        out = _sample_values(l, samp, r_eps, lam, sampled)
     return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow,
                         zeros)
 

@@ -243,17 +243,21 @@ def radial_mode(system: System, l: int, E_star: float,
     """Radial profile u(r) of the channel solution at an (almost) eigenvalue,
     normalized to unit maximum amplitude; used to plot trapped states.
 
-    Radii beyond the outer ball get NaN (the mode is not defined there)."""
+    Radii beyond the outer ball get NaN (the mode is not defined there);
+    a negative radius raises DomainError."""
     rr = np.asarray(radii, dtype=float)
+    if np.any(rr < 0):
+        raise DomainError("radii must be >= 0")
     inside = rr <= 3.0
     u = np.full_like(rr, np.nan)
     r_in = rr[inside]
-    if r_in.size:
-        order = np.argsort(r_in)
-        sol = solve_channel(system, l, E_star, want_norms=False,
-                            sample_r=r_in[order])
-        u_in = np.empty_like(r_in)
-        u_in[order] = sol.sample_u
-        u[inside] = u_in
-    peak = np.nanmax(np.abs(u))
+    if not r_in.size:
+        return u
+    order = np.argsort(r_in)
+    sol = solve_channel(system, l, E_star, want_norms=False,
+                        sample_r=r_in[order])
+    u_in = np.empty_like(r_in)
+    u_in[order] = sol.sample_u
+    u[inside] = u_in
+    peak = np.nanmax(np.abs(u_in))
     return u / peak if peak > 0 else u

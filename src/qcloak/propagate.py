@@ -25,6 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from . import _kernel_py
 from .errors import ConfigurationError, DomainError, GeometryError
 from .media import R_OUTER, CorePotential, LayeredMedium, RadialPotential
@@ -208,9 +210,14 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
     r_max = edges[-1]
     samp = None
     if sample_r is not None:
-        samp = [min(max(float(s), 0.0), r_max) for s in sample_r]
-        if any(b < a for a, b in zip(samp, samp[1:])):
+        sr = np.asarray(sample_r, dtype=float)
+        if not np.isfinite(sr).all():
+            raise DomainError("sample radii must be finite")
+        # min(max(s, 0), r_max) per element, keeping the sign of a -0.0
+        sr = np.where(r_max < sr, r_max, np.where(0.0 > sr, 0.0, sr))
+        if np.any(sr[1:] < sr[:-1]):
             raise DomainError("sample radii must be sorted ascending")
+        samp = sr.tolist()
     res = _impl.propagate(l, edges, k2, w, r_core=1.0,
                           want_norms=want_norms, sample_r=samp)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
@@ -229,13 +236,17 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         conc = res.i_core / res.i_total if res.i_total > 0.0 else 0.0
     sample_u = None
     if samp is not None:
-        # samples below the kernel's start radius were evaluated there, so
-        # the u = v/rho conversion must use the same radius
-        r_eps = min(1e-6, 0.5 * edges[1])
-        sample_u = tuple(
-            sv * r_max / (max(sr, r_eps) * res.p3) if res.p3 != 0.0
-            else math.inf
-            for sv, sr in zip(res.samples, samp))
+        if res.p3 != 0.0:
+            # samples below the kernel's start radius were evaluated there,
+            # so the u = v/rho conversion must use the same radius
+            r_eps = min(1e-6, 0.5 * edges[1])
+            # an overflow gives inf without a warning, as float division did
+            with np.errstate(over="ignore"):
+                u = (np.asarray(res.samples, dtype=float) * r_max
+                     / (np.maximum(sr, r_eps) * res.p3))
+            sample_u = tuple(u.tolist())
+        else:
+            sample_u = (math.inf,) * len(samp)
     return ChannelSolution(
         l=l, E=E, r_max=r_max, boundaries=tuple(edges),
         gamma_v=tuple(res.gam_v), p_end=res.p3, q_end=res.q3,

@@ -10,12 +10,17 @@ tracked separately by the propagation kernels.  j_l uses downward (Miller)
 recurrence below the turning point x < l where upward recurrence cancels.
 `spherical_bessel` returns the oscillatory pair and its derivatives; the
 kernels take the pairs from `_sph_jy_pair` and `_sph_ik_pair_scaled`.
+Their array twins `_sph_jy_pair_array` and `_sph_ik_pair_scaled_array`
+evaluate one order at many arguments with the same operations in the same
+order on every element, so each result equals the scalar one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
@@ -87,9 +92,9 @@ def _khat_closed(n: int, x: float) -> float:
     return math.pi / (2.0 * x) * acc
 
 
-def _ihat_closed(n: int, x: float) -> float:
-    """e^-x i_n(x) by its terminating series; well conditioned for
-    x >= n(n+1) where the alternating terms decrease."""
+def _ihat_closed(n: int, x: float, e2: float) -> float:
+    """e^-x i_n(x) by its terminating series, given e2 = e^(-2x); well
+    conditioned for x >= n(n+1) where the alternating terms decrease."""
     term_p = term_q = 1.0
     p = q = 1.0
     for m in range(n):
@@ -99,7 +104,7 @@ def _ihat_closed(n: int, x: float) -> float:
         p += term_p
         q += term_q
     sign = 1.0 if (n + 1) % 2 == 0 else -1.0
-    return (p + sign * math.exp(-2.0 * x) * q) / (2.0 * x)
+    return (p + sign * e2 * q) / (2.0 * x)
 
 
 def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
@@ -107,8 +112,9 @@ def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
 
     Conventions for l = 0: i_{-1} = cosh(x)/x, k_{-1} = k_0.
     """
+    e2 = math.exp(-2.0 * x)
     i0 = -math.expm1(-2.0 * x) / (2.0 * x)      # e^-x sinh(x)/x
-    im1 = (1.0 + math.exp(-2.0 * x)) / (2.0 * x)  # e^-x cosh(x)/x
+    im1 = (1.0 + e2) / (2.0 * x)                 # e^-x cosh(x)/x
     k0 = math.pi / (2.0 * x)
     if l == 0:
         return im1, i0, k0, k0
@@ -117,7 +123,7 @@ def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
     k = _khat_closed(l, x)
 
     if x >= l * (l + 1):
-        return _ihat_closed(l - 1, x), _ihat_closed(l, x), km, k
+        return _ihat_closed(l - 1, x, e2), _ihat_closed(l, x, e2), km, k
 
     # i_l: downward Miller (i is minimal in order), normalized by scaled i_0.
     # The start order must top both l and x for the minimal solution to
@@ -141,6 +147,115 @@ def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
             target_m /= _RENORM
     scale = i0 / f
     return target_m * scale, target * scale, km, k
+
+
+# --- array twins ------------------------------------------------------------
+# One order at many arguments: the scalar operations in the scalar order on
+# every element, with each scalar branch taken per element, so each result
+# equals the scalar one bit for bit.  sin, cos and exp stay `math` calls per
+# element because numpy's may round differently.  Python float arithmetic
+# overflows to inf without a warning, and so do these.  `_khat_closed` and
+# `_ihat_closed` do not branch on x, so they serve scalars and arrays alike.
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    """f, a scalar function, on every element of x."""
+    return np.fromiter(map(f, x.tolist()), float, x.size)
+
+
+def _miller_array(l: int, x: np.ndarray, n_start, minus: bool):
+    """Unnormalized (f_{l-1}, f_l, f_0) of the downward recurrence
+    f_{n-1} = (2n+1)/x f_n - f_{n+1} (minus, j_l) or + f_{n+1} (scaled
+    i_l) from f_{n_start} = 1e-40, f_{n_start+1} = 0, renormalized per
+    element as the scalar loops do; n_start is an int or one start order
+    per element."""
+    fp = np.zeros_like(x)
+    f = np.full_like(x, 1e-40)
+    target = target_m = fp
+    n_all = int(np.min(n_start))
+    for n in range(int(np.max(n_start)), 0, -1):
+        fm = (2 * n + 1) / x * f
+        fm = fm - fp if minus else fm + fp
+        if n > n_all:
+            # elements whose start order lies below n have not started
+            on = n <= n_start
+            fp, f = np.where(on, f, fp), np.where(on, fm, f)
+        else:
+            fp, f = f, fm
+        if n - 1 == l:
+            target = f
+        if n == l:
+            target_m = f
+        big = np.abs(f) > _RENORM
+        if big.any():
+            f = np.where(big, f / _RENORM, f)
+            fp = np.where(big, fp / _RENORM, fp)
+            target = np.where(big, target / _RENORM, target)
+            target_m = np.where(big, target_m / _RENORM, target_m)
+    return target_m, target, f
+
+
+def _sph_jy_pair_array(l: int, x: np.ndarray):
+    """`_sph_jy_pair` over a float array x > 0, bit for bit."""
+    sx = _map(math.sin, x)
+    cx = _map(math.cos, x)
+    with np.errstate(all="ignore"):
+        j0 = sx / x
+        y0 = -cx / x
+        if l == 0:
+            return cx / x, j0, sx / x, y0
+        j1 = sx / (x * x) - cx / x
+        y1 = -cx / (x * x) - sx / x
+        ym, y = y0, y1
+        for n in range(1, l):
+            ym, y = y, (2 * n + 1) / x * y - ym
+        jm = np.empty_like(x)
+        j = np.empty_like(x)
+        up = x >= l + 1
+        if up.any():
+            xu = x[up]
+            a, b = j0[up], j1[up]
+            for n in range(1, l):
+                a, b = b, (2 * n + 1) / xu * b - a
+            jm[up], j[up] = a, b
+        down = ~up
+        if down.any():
+            n_start = l + 18 + int(2.0 * math.sqrt(l))
+            fm1, fl, f0 = _miller_array(l, x[down], n_start, True)
+            scale = j0[down] / f0
+            jm[down], j[down] = fm1 * scale, fl * scale
+    return jm, j, ym, y
+
+
+def _sph_ik_pair_scaled_array(l: int, x: np.ndarray):
+    """`_sph_ik_pair_scaled` over a float array x > 0, bit for bit."""
+    m2x = -2.0 * x
+    e2 = _map(math.exp, m2x)
+    em1 = _map(math.expm1, m2x)
+    with np.errstate(all="ignore"):
+        i0 = -em1 / (2.0 * x)
+        im1 = (1.0 + e2) / (2.0 * x)
+        k0 = math.pi / (2.0 * x)
+        if l == 0:
+            return im1, i0, k0, k0
+        km = _khat_closed(l - 1, x)
+        k = _khat_closed(l, x)
+        im = np.empty_like(x)
+        i = np.empty_like(x)
+        far = x >= l * (l + 1)
+        if far.any():
+            xf, ef = x[far], e2[far]
+            im[far] = _ihat_closed(l - 1, xf, ef)
+            i[far] = _ihat_closed(l, xf, ef)
+        near = ~far
+        if near.any():
+            xn = x[near]
+            top = np.maximum(l, xn)
+            n_start = (top.astype(np.int64) + 20
+                       + (2.0 * np.sqrt(top)).astype(np.int64))
+            fm1, fl, f0 = _miller_array(l, xn, n_start, False)
+            scale = i0[near] / f0
+            im[near], i[near] = fm1 * scale, fl * scale
+    return im, i, km, k
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the package's propagation kernels:
 closed forms, scipy special functions, adaptive ODE integration, and a
-finite-difference tensor push-forward.  Three differential references
+finite-difference tensor push-forward.  Several differential references
 replay former package code: `scalar_exterior_field`, the point-by-point
 exterior field on phase shifts the caller supplies; the per-solve shell
 array builders (`_acoustic_arrays`, `_schrodinger_arrays`,
 `core_neumann_arrays`) that the shell stack replaced, kept verbatim;
 `grid_dirichlet_levels`, the sign-scan eigenvalue search that the Sturm
-count replaced; and `_amplification`, the fully normed core response that
-the core-only solve replaced.
+count replaced; `_amplification`, the fully normed core response that
+the core-only solve replaced; and `per_sample_propagate` and
+`per_sample_solve`, the kernel march and solve that evaluated and converted
+field samples one at a time, which the array pass replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,8 +27,14 @@ from scipy.optimize import brentq
 from scipy.special import spherical_in, spherical_jn, spherical_yn
 
 from qcloak import _kernel_py
+from qcloak._kernel_py import (CORE_ONLY, KernelResult, _EPS_ORIGIN,
+                               _NORM_CEIL, _NORM_SHIFT, _Local, _panel,
+                               _substeps, _use_power)
+from qcloak.errors import ConfigurationError, DomainError, GeometryError
 from qcloak.media import CorePotential, RadialPotential
-from qcloak.propagate import AcousticSystem, System, solve_channel
+from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
+                              solve_channel)
+from qcloak.special import L_MAX_SUPPORTED
 from qcloak.spectral import classify
 
 
@@ -407,3 +416,149 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
         k2.append(-kappa * kappa)
         edges.append(1.0 + 2.0 * i / n_barrier)
     return edges, k2, w
+
+
+# --- former per-sample evaluation, verbatim ---------------------------------
+# The kernel march as it evaluated each sample by its own `_Local.value`
+# call and rescaled it on its own, and the solve that converted the samples
+# one at a time; the array pass after the march replaced both loops.
+
+def per_sample_propagate(l: int, r: Sequence[float],
+                         k2: Sequence[float], w: Sequence[float],
+                         r_core: float = 1.0, want_norms: int = True,
+                         sample_r: Optional[Sequence[float]] = None
+                         ) -> KernelResult:
+    """The former `_kernel_py.propagate`."""
+    if want_norms not in (False, True, CORE_ONLY):
+        raise ValueError(f"want_norms must be False, True or CORE_ONLY "
+                         f"({CORE_ONLY}), got {want_norms!r}")
+    outer = want_norms != CORE_ONLY
+    n_shell = len(k2)
+    r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
+    h = math.hypot(r_eps, l + 1.0)
+    p, q = r_eps / h, (l + 1.0) / h
+    lam = 0.0
+    i_core = i_total = 0.0
+    i_logoff = 0.0
+    gam_v = []
+    n_samp = len(sample_r) if sample_r is not None else 0
+    samples = [0.0] * n_samp
+    samp_lam = [0.0] * n_samp
+    si = 0
+    overflow = False
+    zeros = 0
+
+    for ish in range(n_shell):
+        a = r[ish] if ish > 0 else r_eps
+        b = r[ish + 1]
+        if ish > 0 and w[ish] != w[ish - 1]:
+            # v continuous; sigma*u' continuous with u = v/rho
+            q = (w[ish - 1] / w[ish]) * (q - p / a) + p / a
+            m = math.hypot(p, q)
+            p /= m
+            q /= m
+            lam += math.log(m)
+            if want_norms:
+                f = 1.0 / (m * m)
+                i_core *= f
+                i_total *= f
+        power = _use_power(k2[ish], a, b)
+        nsub = _substeps(a, b, k2[ish], power)
+        for isub in range(nsub):
+            if power:
+                sa = a * (b / a) ** (isub / nsub)
+                sb = a * (b / a) ** ((isub + 1) / nsub)
+            else:
+                sa = a + (b - a) * isub / nsub
+                sb = a + (b - a) * (isub + 1) / nsub
+            loc = _Local(l, k2[ish], sa, p, q, power)
+            if want_norms:
+                add_core = 0.0
+                add_total = 0.0
+                if sa < r_core < sb:
+                    add_core = add_total = _panel(loc, sa, r_core)
+                    if outer:
+                        add_total += _panel(loc, r_core, sb)
+                elif sb <= r_core:
+                    add_core = add_total = _panel(loc, sa, sb)
+                elif outer:
+                    add_total = _panel(loc, sa, sb)
+                scale = math.exp(-i_logoff) if i_logoff else 1.0
+                i_core += add_core * scale
+                i_total += add_total * scale
+            while si < n_samp and sample_r[si] <= sb + 1e-15:
+                samples[si] = loc.value(max(sample_r[si], r_eps))
+                samp_lam[si] = lam
+                si += 1
+            neg = p < 0.0
+            p, q = loc.eval(sb)
+            zeros += (p < 0.0) != neg
+            m = math.hypot(p, q)
+            p /= m
+            q /= m
+            dlam = math.log(m)
+            lam += dlam
+            if want_norms:
+                f = math.exp(-2.0 * dlam)
+                i_core *= f
+                i_total *= f
+                if i_total > _NORM_CEIL:
+                    i_core *= math.exp(-_NORM_SHIFT)
+                    i_total *= math.exp(-_NORM_SHIFT)
+                    i_logoff += _NORM_SHIFT
+                    overflow = True
+        gam_v.append(q / p if p != 0.0 else math.copysign(math.inf, q))
+
+    out = None
+    if sample_r is not None:
+        out = [val * math.exp(min(sl - lam, 700.0))
+               for val, sl in zip(samples, samp_lam)]
+    return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow,
+                        zeros)
+
+
+def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
+    """The former `propagate._solve` on the kernel function `propagate`."""
+    if l < 0 or l > L_MAX_SUPPORTED:
+        raise ConfigurationError(
+            f"channel l={l} outside [0, {L_MAX_SUPPORTED}]")
+    if len(edges) != len(k2) + 1:
+        raise GeometryError("boundary/shell count mismatch")
+    r_max = edges[-1]
+    samp = None
+    if sample_r is not None:
+        samp = [min(max(float(s), 0.0), r_max) for s in sample_r]
+        if any(b < a for a, b in zip(samp, samp[1:])):
+            raise DomainError("sample radii must be sorted ascending")
+    res = propagate(l, edges, k2, w, r_core=1.0,
+                    want_norms=want_norms, sample_r=samp)
+    if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
+        # the regular start overflows for high l where x = k*rho is tiny
+        raise DomainError(
+            f"channel l = {l} overflows at E = {E}: the march returned "
+            f"non-finite boundary data; lower l_max")
+    pa = max(abs(res.p3), _TINY)
+    log_core = (math.log(max(res.i_core, _TINY)) + res.i_logoff
+                + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
+    if want_norms == CORE_ONLY:
+        log_total = conc = math.nan
+    else:
+        log_total = (math.log(max(res.i_total, _TINY)) + res.i_logoff
+                     + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
+        conc = res.i_core / res.i_total if res.i_total > 0.0 else 0.0
+    sample_u = None
+    if samp is not None:
+        # samples below the kernel's start radius were evaluated there, so
+        # the u = v/rho conversion must use the same radius
+        r_eps = min(1e-6, 0.5 * edges[1])
+        sample_u = tuple(
+            sv * r_max / (max(sr, r_eps) * res.p3) if res.p3 != 0.0
+            else math.inf
+            for sv, sr in zip(res.samples, samp))
+    return ChannelSolution(
+        l=l, E=E, r_max=r_max, boundaries=tuple(edges),
+        gamma_v=tuple(res.gam_v), p_end=res.p3, q_end=res.q3,
+        log_norm_core=log_core, log_norm_total=log_total,
+        concentration=conc, zeros=res.zeros, overflow=res.overflow,
+        sample_r=tuple(samp) if samp is not None else None,
+        sample_u=sample_u)

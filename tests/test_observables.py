@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcloak as qc
-from qcloak import observables
+from qcloak import _kernel_py, observables, propagate
 from qcloak.errors import DomainError, GeometryError, NearEigenvalueError
 from qcloak.observables import legendre_values, optical_theorem_defect
 
@@ -187,6 +188,56 @@ class TestPlaneWaveField:
     def test_point_validation(self, free_medium):
         with pytest.raises(DomainError):
             qc.plane_wave_field(free_medium, E0, np.array([[1.0, 2.0]]))
+
+
+class TestRadialModeEdgeCases:
+    def test_no_radii(self, free_medium):
+        u = qc.radial_mode(free_medium, 0, E0, [])
+        assert u.shape == (0,)
+
+    def test_radii_beyond_the_outer_ball_are_nan_without_warning(
+            self, free_medium):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = qc.radial_mode(free_medium, 0, E0, [3.5, 4.0])
+        assert np.isnan(u).all()
+
+    def test_negative_radius_rejected(self, free_medium):
+        with pytest.raises(DomainError):
+            qc.radial_mode(free_medium, 0, E0, [-0.5, 1.0])
+
+
+class TestSampledFieldsBitwise:
+    """Fields from sampled solves equal those through the former solve,
+    which evaluated and converted each sample on its own, bit for bit."""
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_fields_match_per_sample_solves(self, cloak_builder, backend,
+                                            request, monkeypatch):
+        if backend == "python":
+            kernel, former = _kernel_py, oracles.per_sample_propagate
+        else:
+            kernel = request.getfixturevalue("compiled_kernel")
+            former = kernel.propagate
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        rng = np.random.default_rng(7)
+        r = np.concatenate([[0.0, 1.0, 1.0 + 1e-15, 3.0],
+                            rng.uniform(0.0, 4.0, 60)])
+        pts = np.column_stack([r, rng.uniform(-1.0, 1.0, r.size)])
+        radii = np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.5, 40)])
+
+        def fields():
+            out = []
+            for c_inn in (-98.5, 1.858, -71.45):
+                system = cloak_builder(1.005, 50, c_inn)
+                out.append(qc.plane_wave_field(system, E0, pts, l_max=12))
+                out.append(qc.radial_mode(system, 0, 0.44738, radii))
+            return [a.tobytes() for a in out]
+
+        ours = fields()
+        monkeypatch.setattr(propagate, "_solve", lambda *args: oracles.
+                            per_sample_solve(former, *args))
+        assert fields() == ours
 
 
 REFERENCE_C_INN = {"pass-through": -98.5, "neumann-trap": -71.45}

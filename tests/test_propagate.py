@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -417,6 +418,76 @@ class TestCoreOnlyNorms:
             (full.p_end, full.q_end, full.gamma_v, full.zeros)
 
 
+def sample_radii(edges) -> list:
+    """Radii at 0, on every shell edge, 1e-15 above each edge below r_max,
+    at r_max and on a grid between."""
+    return sorted({0.0, *edges, *(e + 1e-15 for e in edges[:-1]),
+                   *np.linspace(0.0, edges[-1], 61).tolist()})
+
+
+def outcome(f, *args) -> bytes:
+    """The pickled result of f(*args), or the error it raised."""
+    try:
+        return pickle.dumps(f(*args))
+    except (ConfigurationError, DomainError) as exc:
+        return repr(exc).encode()
+
+
+@pytest.fixture(scope="module")
+def sampled_systems(cloak_builder):
+    out = {c: cloak_builder(1.005, 50, c) for c in (-98.5, 1.858, -71.45)}
+    # evanescent inside the unit ball at every energy below 60
+    out["evanescent core"] = qc.RadialPotential(
+        (qc.PotentialShell(0.0, 1.0, 60.0), qc.PotentialShell(1.0, 3.0, 0.0)))
+    # k^2 = E0 - V = 0 on (1, 2): a power-law shell at E0
+    out["power-law shell"] = qc.RadialPotential(
+        (qc.PotentialShell(0.0, 1.0, -2.0), qc.PotentialShell(1.0, 2.0, E0),
+         qc.PotentialShell(2.0, 3.0, 0.0)))
+    return out
+
+
+class TestSampleArrayPass:
+    """Samples evaluated in one array pass after the march equal the former
+    evaluation, one `_Local.value` call per sample, bit for bit."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(args=kernel_stacks())
+    def test_python_kernel_matches_per_sample_march(self, args):
+        l, r, k2, w, sample_r = args
+        for want_norms in (False, True):
+            call = (l, r, k2, w, 1.0, want_norms, sample_r)
+            assert pickle.dumps(_kernel_py.propagate(*call)) == \
+                pickle.dumps(oracles.per_sample_propagate(*call))
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_solves_pickle_identical(self, sampled_systems, backend,
+                                     request, monkeypatch):
+        """The python backend against the former march and solve; the
+        compiled one, whose march is unchanged, against the former solve."""
+        if backend == "python":
+            kernel, former = _kernel_py, oracles.per_sample_propagate
+        else:
+            kernel = request.getfixturevalue("compiled_kernel")
+            former = kernel.propagate
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        assert _kernel_py._use_power(
+            shell_stack(sampled_systems["power-law shell"]).k2(E0)[1],
+            1.0, 2.0)
+        for name, system in sampled_systems.items():
+            stack = shell_stack(system)
+            # radii below 0 are clamped to it; -0.0 keeps its sign
+            samp = [-0.5, -0.0] + sample_radii(stack.edges)
+            for E in (0.3, E0, 2.0):
+                for l in (0, 1, 4, 12, 25):
+                    for want_norms in (False, True):
+                        ours = outcome(qc.solve_channel, system, l, E,
+                                       want_norms, samp)
+                        assert ours == outcome(
+                            oracles.per_sample_solve, former, stack.edges,
+                            stack.k2(E), stack.w, l, E, want_norms, samp), \
+                            (name, E, l, want_norms)
+
+
 class TestHomogenizationLimit:
     def test_layering_converges_to_the_anisotropic_cloak(self):
         # the two-phase layering must reproduce the exact (closed-form,
@@ -491,3 +562,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             qc.propagate_acoustic(free_medium, 0, E0,
                                   sample_r=[2.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_samples_rejected(self, free_medium, bad):
+        # a NaN radius would stall the kernel's sample cursor, leaving
+        # every later sample at 0
+        with pytest.raises(DomainError, match="finite"):
+            qc.solve_channel(free_medium, 0, E0, want_norms=False,
+                             sample_r=[bad, 1.0, 2.0])

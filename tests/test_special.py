@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import spherical_in, spherical_jn, spherical_kn, spherical_yn
 
 import qcloak as qc
 from qcloak.errors import ConfigurationError, DomainError
-from qcloak.special import _sph_ik_pair_scaled, spherical_bessel
+from qcloak.special import (_sph_ik_pair_scaled, _sph_ik_pair_scaled_array,
+                            _sph_jy_pair, _sph_jy_pair_array,
+                            spherical_bessel)
 
 
 def test_j0_closed_form():
@@ -53,3 +56,43 @@ def test_domain_and_configuration_errors():
         spherical_bessel(3, -1.0)
     with pytest.raises(ConfigurationError):
         spherical_bessel(qc.special.L_MAX_SUPPORTED + 1, 1.0)
+
+
+def branch_points(l: int) -> list:
+    """Arguments at and around the scalar pairs' branch points for order l:
+    the renormalising Miller range (x ~ 1e-6), x = l + 1 where j_l turns
+    upward, x = l(l+1) where i_l takes its closed series, and both sides of
+    each."""
+    pts = [1e-7, 1e-6, 3e-6, 1e-3, 0.5, 3.0 * (l + 1), 4000.0]
+    for x in (float(l + 1), l * (l + 1.0)):
+        if x > 0.0:
+            pts += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return pts
+
+
+def assert_twin_bits(l: int, xs: list) -> None:
+    """Both array twins equal their scalar pairs element by element, bit
+    for bit."""
+    x = np.array(xs)
+    for scalar, twin in ((_sph_jy_pair, _sph_jy_pair_array),
+                         (_sph_ik_pair_scaled, _sph_ik_pair_scaled_array)):
+        arrays = twin(l, x)
+        for e, xe in enumerate(xs):
+            assert [float(a[e]).hex() for a in arrays] == \
+                [v.hex() for v in scalar(l, xe)], (scalar.__name__, l, xe)
+
+
+@pytest.mark.parametrize("l", range(qc.special.L_MAX_SUPPORTED + 1))
+def test_array_twins_at_branch_points(l):
+    assert_twin_bits(l, branch_points(l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), l=st.integers(0, qc.special.L_MAX_SUPPORTED))
+def test_array_twins_equal_the_scalar_pairs(data, l):
+    # one array mixes every branch, and (for the evanescent pair) Miller
+    # start orders that differ between elements
+    xs = data.draw(st.lists(
+        st.floats(1e-7, 4000.0) | st.floats(1e-7, 1e-5)
+        | st.sampled_from(branch_points(l)), min_size=1, max_size=24))
+    assert_twin_bits(l, xs)
