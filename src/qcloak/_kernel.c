@@ -4,9 +4,10 @@
  * The numerics are plain C99 and repeat the twin's operations in the same
  * order, so the two agree to rounding.  The CPython glue at the end converts
  * the arguments, runs the march with the GIL released and returns a
- * qcloak._kernel_py.KernelResult.  want_norms takes the twin's values:
- * False, True, or its CORE_ONLY (read from the twin at import), which
- * integrates v^2 only inside r_core.
+ * qcloak._kernel_py.KernelResult.  `propagate` is the one entry, and it
+ * keeps nothing per shell: the library matches at the outer boundary only.
+ * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
+ * from the twin at import), which integrates v^2 only inside r_core.
  *
  * Build in place with `python setup.py build_ext --inplace`.
  */
@@ -245,19 +246,6 @@ static int substeps(double a, double b, double k2, int power)
     return n > 1 ? n : 1;
 }
 
-/* Ends of substep isub of nsub across [a, b], geometric for power law. */
-static void substep_ends(double a, double b, int isub, int nsub, int power,
-                         double *sa, double *sb)
-{
-    if (power) {
-        *sa = a * pow(b / a, (double)isub / nsub);
-        *sb = a * pow(b / a, (double)(isub + 1) / nsub);
-    } else {
-        *sa = a + (b - a) * isub / nsub;
-        *sb = a + (b - a) * (isub + 1) / nsub;
-    }
-}
-
 typedef struct {
     double p, q, i_core, i_total, i_logoff;
     int overflow;
@@ -267,14 +255,13 @@ typedef struct {
 /* March the regular solution of channel l through the n shells bounded by
  * r[0..n]; see qcloak._kernel_py.propagate.  want_norms integrates v^2;
  * core_only then computes no panel beyond r_core, so i_total equals i_core.
- * gam receives v'/v at each shell's outer boundary, samp_v the v at the
- * n_samp sorted radii samp_r in units of the final state; samp_lam is
- * scratch.  out->zeros counts the sign changes of v between substep ends,
- * which is every zero of v. */
+ * samp_v receives the v at the n_samp sorted radii samp_r in units of the
+ * final state; samp_lam is scratch.  out->zeros counts the sign changes of
+ * v between substep ends, which is every zero of v. */
 static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                   const double *w, double r_core, int want_norms,
                   int core_only, Py_ssize_t n_samp, const double *samp_r,
-                  double *samp_v, double *samp_lam, double *gam, March *out)
+                  double *samp_v, double *samp_lam, March *out)
 {
     double r_eps = 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
     double h = hypot(r_eps, l + 1.0), p = r_eps / h, q = (l + 1.0) / h;
@@ -304,7 +291,13 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
         power = use_power(k2[ish], a, b);
         nsub = substeps(a, b, k2[ish], power);
         for (isub = 0; isub < nsub; isub++) {
-            substep_ends(a, b, isub, nsub, power, &sa, &sb);
+            if (power) {        /* geometric substeps */
+                sa = a * pow(b / a, (double)isub / nsub);
+                sb = a * pow(b / a, (double)(isub + 1) / nsub);
+            } else {
+                sa = a + (b - a) * isub / nsub;
+                sb = a + (b - a) * (isub + 1) / nsub;
+            }
             local_init(&loc, l, k2[ish], sa, p, q, power);
             if (want_norms) {
                 add_core = 0.0;
@@ -347,7 +340,6 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                 }
             }
         }
-        gam[ish] = p != 0.0 ? q / p : copysign(INFINITY, q);
     }
     for (si = 0; si < n_samp; si++) {
         f = samp_lam[si] - lam;
@@ -393,9 +385,9 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
     static char *kwlist[] = {"l", "r", "k2", "w", "r_core", "want_norms",
                              "sample_r", NULL};
     int l, want_norms = 1, i;
-    double r_core = 1.0, *buf = NULL, *r, *k2, *w, *gam, *sr, *sv;
+    double r_core = 1.0, *buf = NULL, *r, *k2, *w, *sr, *sv;
     PyObject *obj[4], *tup[4] = {NULL, NULL, NULL, NULL};
-    PyObject *gam_list = NULL, *samples = NULL, *res = NULL;
+    PyObject *samples = NULL, *res = NULL;
     Py_ssize_t n, n_samp;
     March m;
 
@@ -427,7 +419,7 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
                      PyTuple_GET_SIZE(tup[2]));
         goto done;
     }
-    buf = PyMem_Calloc(4 * n + 1 + 3 * n_samp, sizeof(double));
+    buf = PyMem_Calloc(3 * n + 1 + 3 * n_samp, sizeof(double));
     if (buf == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -435,8 +427,7 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
     r = buf;
     k2 = r + n + 1;
     w = k2 + n;
-    gam = w + n;
-    sr = gam + n;
+    sr = w + n;
     sv = sr + n_samp;
     if (copy_doubles(tup[0], r) || copy_doubles(tup[1], k2)
             || copy_doubles(tup[2], w)
@@ -445,48 +436,21 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
 
     Py_BEGIN_ALLOW_THREADS
     march(l, n, r, k2, w, r_core, want_norms != 0, want_norms == CORE_ONLY,
-          n_samp, sr, sv, sv + n_samp, gam, &m);
+          n_samp, sr, sv, sv + n_samp, &m);
     Py_END_ALLOW_THREADS
 
-    if ((gam_list = float_list(gam, n)) == NULL)
-        goto done;
     samples = tup[3] != NULL ? float_list(sv, n_samp) : Py_NewRef(Py_None);
     if (samples == NULL)
         goto done;
-    res = PyObject_CallFunction(KernelResult, "ddOdddOOl", m.p, m.q,
-                                gam_list, m.i_core, m.i_total, m.i_logoff,
-                                samples, m.overflow ? Py_True : Py_False,
-                                m.zeros);
+    res = PyObject_CallFunction(KernelResult, "dddddOOl", m.p, m.q,
+                                m.i_core, m.i_total, m.i_logoff, samples,
+                                m.overflow ? Py_True : Py_False, m.zeros);
 done:
     PyMem_Free(buf);
-    Py_XDECREF(gam_list);
     Py_XDECREF(samples);
     for (i = 0; i < 4; i++)
         Py_XDECREF(tup[i]);
     return res;
-}
-
-static PyObject *kernel_shell_transfer(PyObject *self, PyObject *args,
-                                       PyObject *kwargs)
-{
-    static char *kwlist[] = {"l", "a", "b", "k2", NULL};
-    int l, power, nsub, isub, col;
-    double a, b, k2, sa, sb, pq[2][2] = {{1.0, 0.0}, {0.0, 1.0}};
-    Local loc;
-
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iddd:shell_transfer",
-                                     kwlist, &l, &a, &b, &k2))
-        return NULL;
-    power = use_power(k2, a, b);
-    nsub = substeps(a, b, k2, power);
-    for (col = 0; col < 2; col++)
-        for (isub = 0; isub < nsub; isub++) {
-            substep_ends(a, b, isub, nsub, power, &sa, &sb);
-            local_init(&loc, l, k2, sa, pq[col][0], pq[col][1], power);
-            local_eval(&loc, sb, &pq[col][0], &pq[col][1]);
-        }
-    return Py_BuildValue("[[dd][dd]]", pq[0][0], pq[1][0], pq[0][1],
-                         pq[1][1]);
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -495,10 +459,6 @@ static PyMethodDef kernel_methods[] = {
      "propagate($module, l, r, k2, w, r_core=1.0, want_norms=True, "
      "sample_r=None)\n--\n\n"
      "See qcloak._kernel_py.propagate; identical contract."},
-    {"shell_transfer", (PyCFunction)(void (*)(void))kernel_shell_transfer,
-     METH_VARARGS | METH_KEYWORDS,
-     "shell_transfer($module, l, a, b, k2)\n--\n\n"
-     "2x2 transfer of (v, v') across a uniform shell; det = 1 invariant."},
     {NULL, NULL, 0, NULL},
 };
 

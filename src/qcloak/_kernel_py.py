@@ -2,7 +2,9 @@
 
 Reference implementation of the per-channel shell marcher; `qcloak._kernel`
 is the compiled twin with identical semantics, selected at import time by
-`qcloak.propagate`.
+`qcloak.propagate`.  `propagate` is the one entry, and it returns only what
+the library reads: the state (v, v') at the outer boundary, the norm
+integrals, the field samples and the zero count, nothing per shell.
 
 The radial factor is propagated in Riccati form v = rho*u, where within one
 shell  v'' + (k2 - l(l+1)/rho^2) v = 0.  The state (v, v') is renormalized to
@@ -63,7 +65,6 @@ _G8_WEIGHTS = (
 class KernelResult(NamedTuple):
     p3: float                 # v at the outer boundary, unit state
     q3: float                 # v' at the outer boundary, unit state
-    gam_v: list               # v'/v on the inner side of each shell boundary
     i_core: float             # int_0^r_core v^2, units of the final state
     i_total: float            # int_0^R v^2, same units
     i_logoff: float           # add to log(i_*) to undo overflow rescales
@@ -244,7 +245,6 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     lam = 0.0
     i_core = i_total = 0.0
     i_logoff = 0.0
-    gam_v = []
     n_samp = len(sample_r) if sample_r is not None else 0
     samp = list(sample_r) if n_samp else []
     sampled = []
@@ -314,32 +314,9 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                     i_total *= math.exp(-_NORM_SHIFT)
                     i_logoff += _NORM_SHIFT
                     overflow = True
-        gam_v.append(q / p if p != 0.0 else math.copysign(math.inf, q))
 
     out = None
     if sample_r is not None:
         out = _sample_values(l, samp, r_eps, lam, sampled)
-    return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow,
-                        zeros)
+    return KernelResult(p, q, i_core, i_total, i_logoff, out, overflow, zeros)
 
-
-def shell_transfer(l: int, a: float, b: float, k2: float) -> list:
-    """2x2 matrix taking (v, v') from a to b across a uniform shell.
-
-    Test surface: its determinant is the Wronskian ratio and must equal 1.
-    """
-    cols = []
-    for va, dva in ((1.0, 0.0), (0.0, 1.0)):
-        p, q = va, dva
-        power = _use_power(k2, a, b)
-        nsub = _substeps(a, b, k2, power)
-        for isub in range(nsub):
-            if power:
-                sa = a * (b / a) ** (isub / nsub)
-                sb = a * (b / a) ** ((isub + 1) / nsub)
-            else:
-                sa = a + (b - a) * isub / nsub
-                sb = a + (b - a) * (isub + 1) / nsub
-            p, q = _Local(l, k2, sa, p, q, power).eval(sb)
-        cols.append((p, q))
-    return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]

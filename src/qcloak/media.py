@@ -200,7 +200,6 @@ def _cell_edges(lo: float, hi: float, n: int, grading: str,
 
 def homogenize(medium: AnisotropicRadialMedium, n_layers: int,
                grading: str = "uniform", ratio: float = 1.15,
-               split: Optional[tuple[int, int, float]] = None,
                phase_order: str = "low-first") -> LayeredMedium:
     """Replace the anisotropic shell with n_layers isotropic shells.
 
@@ -209,8 +208,6 @@ def homogenize(medium: AnisotropicRadialMedium, n_layers: int,
     tangential eigenvalue m_t and its harmonic mean the radial one m_r
     (midpoint-sampled).  Both phases carry the cell's mass value.
 
-    `split=(n_in, n_out, r_split)` grades [R, r_split] and [r_split, 2]
-    independently (n_in + n_out layers); default grades the whole annulus.
     `phase_order` places the low ("low-first") or high conductivity phase on
     the inner side of every cell.
     """
@@ -226,16 +223,7 @@ def homogenize(medium: AnisotropicRadialMedium, n_layers: int,
     if phase_order not in ("low-first", "high-first"):
         raise DomainError(f"unknown phase order {phase_order!r}")
 
-    if split is None:
-        edges = _cell_edges(R, R_SHELL, n_layers // 2, grading, ratio)
-    else:
-        n_in, n_out, r_split = split
-        if not R < r_split < R_SHELL:
-            raise DomainError("split radius must lie inside the annulus")
-        if n_in % 2 or n_out % 2 or n_in < 2 or n_out < 2:
-            raise DomainError("split layer counts must be even and >= 2")
-        edges = (_cell_edges(R, r_split, n_in // 2, grading, ratio)
-                 + _cell_edges(r_split, R_SHELL, n_out // 2, grading, ratio)[1:])
+    edges = _cell_edges(R, R_SHELL, n_layers // 2, grading, ratio)
 
     shells = [core]
     for c0, c1 in zip(edges[:-1], edges[1:]):

@@ -1,10 +1,11 @@
 """Scattering observables: phase shifts, amplitudes, cross sections, DN data,
 and sampled wave fields.
 
-All systems here are free (sigma = a = 1, V = 0) outside some matching
-radius below 3, so a single log-derivative per channel carries the whole
-far-field content.  `dn_spectrum` refuses an energy whose boundary value
-falls below `U_THRESHOLD` in some channel.
+Every system is free (sigma = a = 1, V = 0) at the outer sphere
+r = R_OUTER, so the log-derivative there carries a channel's whole
+far-field content: phase shifts and DN values are both matched at R_OUTER.
+`dn_spectrum` refuses an energy whose boundary value falls below
+`U_THRESHOLD` in some channel.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import spherical_jn, spherical_yn
 
-from .errors import DomainError, GeometryError, NearEigenvalueError
+from .errors import DomainError, NearEigenvalueError
 from .media import R_OUTER
-from .propagate import (ChannelSolution, System, default_l_max, shell_stack,
-                        solve_channel)
+from .propagate import ChannelSolution, System, default_l_max, solve_channel
 from .special import spherical_bessel
 
-#: |u(3)| below which `dn_spectrum` treats E as a Dirichlet eigenvalue
+#: |u(R_OUTER)| below which `dn_spectrum` treats E as a Dirichlet eigenvalue
 U_THRESHOLD = 1e-10
 
 
@@ -60,30 +60,19 @@ class DNSpectrum:
         return max(abs(a - b) for a, b in zip(self.lam, free.lam))
 
 
-def _support_radius(system: System) -> float:
-    """Outer edge of the last shell that is not free space."""
-    st = shell_stack(system)
-    return max((hi for hi, *coefs in zip(st.edges[1:], st.a, st.s, st.v, st.w)
-                if coefs != [1.0, 1.0, 0.0, 1.0]), default=0.0)
-
-
-def _far_field_k(system: System, E: float, r_match: float) -> float:
+def _far_field_k(E: float) -> float:
     """Wavenumber k = sqrt(E) of the free exterior, after checking that E
-    propagates and that r_match lies outside the scattering support."""
+    propagates."""
     if E <= 0.0:
         raise DomainError(f"no propagating far field for E = {E} <= 0")
-    if r_match < _support_radius(system) - 1e-12:
-        raise GeometryError(
-            f"matching radius {r_match} lies inside the scattering support")
     return math.sqrt(E)
 
 
-def _match_delta(sol: ChannelSolution, k: float, r_match: float) -> float:
+def _match_delta(sol: ChannelSolution, k: float) -> float:
     """delta_l of one solved channel: tan(delta) = (k j' - g j)/(k y' - g y)
-    at x = k*r_match, with g the solution's log-derivative there."""
-    g = (sol.log_derivative_at(r_match) if r_match < sol.r_max
-         else sol.log_derivative_end)
-    s = spherical_bessel(sol.l, k * r_match)
+    at x = k*R_OUTER, with g the solution's log-derivative there."""
+    g = sol.log_derivative_end
+    s = spherical_bessel(sol.l, k * R_OUTER)
     num = k * s.jp - g * s.j
     den = k * s.yp - g * s.y
     if den == 0.0:
@@ -91,20 +80,19 @@ def _match_delta(sol: ChannelSolution, k: float, r_match: float) -> float:
     return math.atan(num / den)
 
 
-def phase_shifts(system: System, E: float, l_max: Optional[int] = None,
-                 r_match: float = 3.0) -> PhaseShifts:
+def phase_shifts(system: System, E: float,
+                 l_max: Optional[int] = None) -> PhaseShifts:
     """delta_l from matching the propagated log-derivative to free waves at
-    r_match: tan(delta) = (k j' - g j)/(k y' - g y) at x = k*r_match.
+    R_OUTER: tan(delta) = (k j' - g j)/(k y' - g y) at x = k*R_OUTER.
 
     Single-energy values use the principal branch; energy scans unwrap with
     `unwrap_phases`.
     """
-    k = _far_field_k(system, E, r_match)
+    k = _far_field_k(E)
     if l_max is None:
         l_max = default_l_max(E)
     deltas = tuple(
-        _match_delta(solve_channel(system, l, E, want_norms=False), k,
-                     r_match)
+        _match_delta(solve_channel(system, l, E, want_norms=False), k)
         for l in range(l_max + 1))
     return PhaseShifts(E, k, deltas)
 
@@ -159,7 +147,7 @@ def optical_theorem_defect(shifts: PhaseShifts) -> float:
 
 def dn_spectrum(system: System, E: float,
                 l_max: Optional[int] = None) -> DNSpectrum:
-    """Channel values sigma(3) u'(3)/u(3) of the boundary map at energy E.
+    """Channel values sigma u'/u at R_OUTER of the boundary map at energy E.
 
     Raises NearEigenvalueError naming the channel when the boundary value of
     the regular solution falls below U_THRESHOLD (E is numerically a
@@ -205,18 +193,19 @@ def plane_wave_field(system: System, E: float, points,
     the incidence direction.  The channel radial factors are the regular
     solutions normalized so the far field is e^{ikz} + outgoing; points on a
     shell boundary are evaluated from the inner side.  Each channel is solved
-    once: the sampled solve also yields delta_l at r = 3.
+    once: the sampled solve also yields delta_l at R_OUTER.
     """
     pts = np.asarray(points, dtype=float)
     r = pts[:, 0]
     mu = pts[:, 1]
-    if np.any(r < 0) or np.any(np.abs(mu) > 1.0 + 1e-12):
+    # negated, so that NaN fails the check too
+    if not (np.all(r >= 0) and np.all(np.abs(mu) <= 1.0 + 1e-12)):
         raise DomainError("points must have r >= 0 and |cos theta| <= 1")
     if l_max is None:
         l_max = default_l_max(E)
-    k = _far_field_k(system, E, 3.0)
+    k = _far_field_k(E)
 
-    inside = r <= 3.0
+    inside = r <= R_OUTER
     r_in = r[inside]
     order = np.argsort(r_in)
     sample_r = r_in[order] if r_in.size else None
@@ -226,7 +215,7 @@ def plane_wave_field(system: System, E: float, points,
     for l in range(l_max + 1):
         sol = solve_channel(system, l, E, want_norms=False,
                             sample_r=sample_r)
-        d = _match_delta(sol, k, 3.0)
+        d = _match_delta(sol, k)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
             u = np.empty_like(r_in)
@@ -244,11 +233,11 @@ def radial_mode(system: System, l: int, E_star: float,
     normalized to unit maximum amplitude; used to plot trapped states.
 
     Radii beyond the outer ball get NaN (the mode is not defined there);
-    a negative radius raises DomainError."""
+    a negative or NaN radius raises DomainError."""
     rr = np.asarray(radii, dtype=float)
-    if np.any(rr < 0):
+    if not np.all(rr >= 0):
         raise DomainError("radii must be >= 0")
-    inside = rr <= 3.0
+    inside = rr <= R_OUTER
     u = np.full_like(rr, np.nan)
     r_in = rr[inside]
     if not r_in.size:

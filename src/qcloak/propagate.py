@@ -13,9 +13,11 @@ pads the centrifugal cut-off at `media.R_OUTER` by `L_MARGIN` channels.
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable, else the pure-Python twin `qcloak._kernel_py`; set
-QCLOAK_PURE_PYTHON=1 to force the fallback.  Both expose the same
-`propagate`/`shell_transfer` API and are interchangeable; the twin is also
-the reference the compiled kernel is tested against.
+QCLOAK_PURE_PYTHON=1 to force the fallback.  Both expose the same one
+entry, `propagate`, and are interchangeable; the twin is also the reference
+the compiled kernel is tested against.  A solve keeps the boundary state at
+r_max and nothing per shell: phase shifts and DN values are matched at
+`media.R_OUTER`, where every system is free.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ class ChannelSolution:
 
     Norms are L^2 masses of the radial factor (with the rho^2 measure),
     reported per unit boundary value u(r_max) = 1 and kept in log form so
-    near-eigenvalue blowups stay representable.  ``gamma_v`` holds v'/v
-    (v = rho u) on the inner side of each shell boundary.  ``zeros`` is the
+    near-eigenvalue blowups stay representable.  ``p_end`` and ``q_end`` are
+    v and v' (v = rho u) at r_max, in a unit-length state.  ``zeros`` is the
     number of zeros of v in (0, r_max); by the oscillation theorem it counts
     the Dirichlet levels (u(r_max) = 0) below E.  A solve with
     ``want_norms=CORE_ONLY`` integrates the mass inside the core only and
@@ -158,8 +160,6 @@ class ChannelSolution:
     l: int
     E: float
     r_max: float
-    boundaries: tuple
-    gamma_v: tuple
     p_end: float
     q_end: float
     log_norm_core: float
@@ -170,16 +170,12 @@ class ChannelSolution:
     sample_r: Optional[tuple] = None
     sample_u: Optional[tuple] = None   # u(rho)/u(r_max)
 
-    def log_derivative_at(self, r: float) -> float:
-        """u'/u on the inner side of the shell boundary at radius r."""
-        for rb, gv in zip(self.boundaries[1:], self.gamma_v):
-            if abs(rb - r) <= 1e-9:
-                return gv - 1.0 / rb
-        raise DomainError(f"r = {r} is not a shell boundary of this solution")
-
     @property
     def log_derivative_end(self) -> float:
-        return self.gamma_v[-1] - 1.0 / self.r_max
+        """u'/u at r_max."""
+        g = (self.q_end / self.p_end if self.p_end != 0.0
+             else math.copysign(math.inf, self.q_end))
+        return g - 1.0 / self.r_max
 
     @property
     def dirichlet_value(self) -> float:
@@ -248,8 +244,7 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         else:
             sample_u = (math.inf,) * len(samp)
     return ChannelSolution(
-        l=l, E=E, r_max=r_max, boundaries=tuple(edges),
-        gamma_v=tuple(res.gam_v), p_end=res.p3, q_end=res.q3,
+        l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
         concentration=conc, zeros=res.zeros, overflow=res.overflow,
         sample_r=tuple(samp) if samp is not None else None,

@@ -411,17 +411,20 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
     edges, k2, w = [0.0, 1.0], [20.0], [1.0]
     for i in range(1, n_barrier + 1):
         a = edges[-1]
-        g = _kernel_py.propagate(0, edges, k2, w, 1.0, False).gam_v[-1]
+        res = _kernel_py.propagate(0, edges, k2, w, 1.0, False)
+        g = res.q3 / res.p3
         w.append(w[-1] * (g - 1.0 / a) / (-kappa - 1.0 / a))
         k2.append(-kappa * kappa)
         edges.append(1.0 + 2.0 * i / n_barrier)
     return edges, k2, w
 
 
-# --- former per-sample evaluation, verbatim ---------------------------------
+# --- former per-sample evaluation -------------------------------------------
 # The kernel march as it evaluated each sample by its own `_Local.value`
 # call and rescaled it on its own, and the solve that converted the samples
-# one at a time; the array pass after the march replaced both loops.
+# one at a time; the array pass after the march replaced both loops.  Kept
+# verbatim except for the per-shell log-derivatives, which neither the
+# kernels nor `ChannelSolution` carry any more.
 
 def per_sample_propagate(l: int, r: Sequence[float],
                          k2: Sequence[float], w: Sequence[float],
@@ -440,7 +443,6 @@ def per_sample_propagate(l: int, r: Sequence[float],
     lam = 0.0
     i_core = i_total = 0.0
     i_logoff = 0.0
-    gam_v = []
     n_samp = len(sample_r) if sample_r is not None else 0
     samples = [0.0] * n_samp
     samp_lam = [0.0] * n_samp
@@ -507,14 +509,12 @@ def per_sample_propagate(l: int, r: Sequence[float],
                     i_total *= math.exp(-_NORM_SHIFT)
                     i_logoff += _NORM_SHIFT
                     overflow = True
-        gam_v.append(q / p if p != 0.0 else math.copysign(math.inf, q))
 
     out = None
     if sample_r is not None:
         out = [val * math.exp(min(sl - lam, 700.0))
                for val, sl in zip(samples, samp_lam)]
-    return KernelResult(p, q, gam_v, i_core, i_total, i_logoff, out, overflow,
-                        zeros)
+    return KernelResult(p, q, i_core, i_total, i_logoff, out, overflow, zeros)
 
 
 def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
@@ -556,8 +556,7 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
             else math.inf
             for sv, sr in zip(res.samples, samp))
     return ChannelSolution(
-        l=l, E=E, r_max=r_max, boundaries=tuple(edges),
-        gamma_v=tuple(res.gam_v), p_end=res.p3, q_end=res.q3,
+        l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
         concentration=conc, zeros=res.zeros, overflow=res.overflow,
         sample_r=tuple(samp) if samp is not None else None,

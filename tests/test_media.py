@@ -208,14 +208,6 @@ class TestHomogenize:
         w_geo = geo.shells[1].r_out - geo.shells[1].r_in
         assert w_geo < w_uni
 
-    def test_split_option(self):
-        med = truncate(1.01)
-        lay = homogenize(med, 50, split=(20, 30, 1.1))
-        ann = [s for s in lay.shells if 1.01 < s.r_out <= 2.0]
-        assert len(ann) == 50
-        inner = [s for s in ann if s.r_out <= 1.1 + 1e-12]
-        assert len(inner) == 20
-
 
 class TestGaugePotential:
     def test_free_medium_is_gauge_fixed(self, free_medium):
