@@ -6,7 +6,6 @@ states, and turns channel data into scattering observables.
 """
 
 from .errors import (
-    AnisotropyOrientationError,
     ConfigurationError,
     DomainError,
     EigenvalueProximityRefusal,

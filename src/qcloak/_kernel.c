@@ -7,7 +7,7 @@
  * qcloak._kernel_py.KernelResult.  `propagate` is the one entry, and it
  * keeps nothing per shell: the library matches at the outer boundary only.
  * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
- * from the twin at import), which integrates v^2 only inside r_core.
+ * from the twin at import), which integrates v^2 only inside R_CORE.
  *
  * Build in place with `python setup.py build_ext --inplace`.
  */
@@ -19,6 +19,7 @@
 /* max |k| * (substep width); bounds both the e^(+-2) evanescent growth per
  * substep and the quadrature phase per panel */
 static const double PHASE_CAP = 2.0;
+static const double R_CORE = 1.0;            /* outer radius of i_core */
 static const double POWER_RATIO_CAP = 1.25;  /* max b/a per power substep */
 static const double EPS_ORIGIN = 1e-6;       /* power-law start radius */
 static const double NORM_CEIL = 1e250;
@@ -254,14 +255,14 @@ typedef struct {
 
 /* March the regular solution of channel l through the n shells bounded by
  * r[0..n]; see qcloak._kernel_py.propagate.  want_norms integrates v^2;
- * core_only then computes no panel beyond r_core, so i_total equals i_core.
+ * core_only then computes no panel beyond R_CORE, so i_total equals i_core.
  * samp_v receives the v at the n_samp sorted radii samp_r in units of the
  * final state; samp_lam is scratch.  out->zeros counts the sign changes of
  * v between substep ends, which is every zero of v. */
 static void march(int l, Py_ssize_t n, const double *r, const double *k2,
-                  const double *w, double r_core, int want_norms,
-                  int core_only, Py_ssize_t n_samp, const double *samp_r,
-                  double *samp_v, double *samp_lam, March *out)
+                  const double *w, int want_norms, int core_only,
+                  Py_ssize_t n_samp, const double *samp_r, double *samp_v,
+                  double *samp_lam, March *out)
 {
     double r_eps = 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
     double h = hypot(r_eps, l + 1.0), p = r_eps / h, q = (l + 1.0) / h;
@@ -302,11 +303,11 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
             if (want_norms) {
                 add_core = 0.0;
                 add_total = 0.0;
-                if (sa < r_core && r_core < sb) {
-                    add_core = add_total = panel(&loc, sa, r_core);
+                if (sa < R_CORE && R_CORE < sb) {
+                    add_core = add_total = panel(&loc, sa, R_CORE);
                     if (!core_only)
-                        add_total += panel(&loc, r_core, sb);
-                } else if (sb <= r_core) {
+                        add_total += panel(&loc, R_CORE, sb);
+                } else if (sb <= R_CORE) {
                     add_core = add_total = panel(&loc, sa, sb);
                 } else if (!core_only) {
                     add_total = panel(&loc, sa, sb);
@@ -382,19 +383,19 @@ static PyObject *float_list(const double *v, Py_ssize_t n)
 static PyObject *kernel_propagate(PyObject *self, PyObject *args,
                                   PyObject *kwargs)
 {
-    static char *kwlist[] = {"l", "r", "k2", "w", "r_core", "want_norms",
-                             "sample_r", NULL};
+    static char *kwlist[] = {"l", "r", "k2", "w", "want_norms", "sample_r",
+                             NULL};
     int l, want_norms = 1, i;
-    double r_core = 1.0, *buf = NULL, *r, *k2, *w, *sr, *sv;
+    double *buf = NULL, *r, *k2, *w, *sr, *sv;
     PyObject *obj[4], *tup[4] = {NULL, NULL, NULL, NULL};
     PyObject *samples = NULL, *res = NULL;
     Py_ssize_t n, n_samp;
     March m;
 
     obj[3] = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|diO:propagate",
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|iO:propagate",
                                      kwlist, &l, &obj[0], &obj[1], &obj[2],
-                                     &r_core, &want_norms, &obj[3]))
+                                     &want_norms, &obj[3]))
         return NULL;
     if (want_norms != 0 && want_norms != 1 && want_norms != CORE_ONLY) {
         PyErr_Format(PyExc_ValueError, "want_norms must be False, True or "
@@ -435,7 +436,7 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
         goto done;
 
     Py_BEGIN_ALLOW_THREADS
-    march(l, n, r, k2, w, r_core, want_norms != 0, want_norms == CORE_ONLY,
+    march(l, n, r, k2, w, want_norms != 0, want_norms == CORE_ONLY,
           n_samp, sr, sv, sv + n_samp, &m);
     Py_END_ALLOW_THREADS
 
@@ -456,8 +457,8 @@ done:
 static PyMethodDef kernel_methods[] = {
     {"propagate", (PyCFunction)(void (*)(void))kernel_propagate,
      METH_VARARGS | METH_KEYWORDS,
-     "propagate($module, l, r, k2, w, r_core=1.0, want_norms=True, "
-     "sample_r=None)\n--\n\n"
+     "propagate($module, l, r, k2, w, want_norms=True, sample_r=None)\n"
+     "--\n\n"
      "See qcloak._kernel_py.propagate; identical contract."},
     {NULL, NULL, 0, NULL},
 };

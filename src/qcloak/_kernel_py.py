@@ -17,8 +17,10 @@ Substep representation: the local solution is expanded in the fundamental
 pair of the shell (Riccati-Bessel, scaled modified Riccati-Bessel, or power
 law near zero wavenumber) with coefficients solved from the entering state;
 the same expansion supplies Gauss-Legendre quadrature of |v|^2 for the norm
-accumulators.  Norms are integrated only as far out as the caller reads
-them: `want_norms=CORE_ONLY` skips every panel beyond r_core.
+accumulators.  The core mass is the part inside `_R_CORE` = 1, the unit
+ball every system's core occupies.  Norms are integrated only as far out
+as the caller reads them: `want_norms=CORE_ONLY` skips every panel beyond
+`_R_CORE`.
 
 Point samples for field maps never feed back into the march, so the march
 only notes which substep each sample falls in; after it, `_sample_values`
@@ -42,11 +44,12 @@ from .special import (_map, _sph_ik_pair_scaled, _sph_ik_pair_scaled_array,
 # max |k| * (substep width); bounds both the e^(+-2) evanescent growth per
 # substep and the quadrature phase per panel
 _PHASE_CAP = 2.0
+_R_CORE = 1.0                    # outer radius of the core mass i_core
 _POWER_RATIO_CAP = 1.25          # max b/a per power-law substep
 _EPS_ORIGIN = 1e-6               # analytic power-law start radius
 _NORM_CEIL = 1e250
 _NORM_SHIFT = 100.0 * math.log(10.0)
-#: `want_norms` value that integrates v^2 inside r_core only; i_total then
+#: `want_norms` value that integrates v^2 inside _R_CORE only; i_total then
 #: equals i_core bit for bit
 CORE_ONLY = 2
 
@@ -65,7 +68,7 @@ _G8_WEIGHTS = (
 class KernelResult(NamedTuple):
     p3: float                 # v at the outer boundary, unit state
     q3: float                 # v' at the outer boundary, unit state
-    i_core: float             # int_0^r_core v^2, units of the final state
+    i_core: float             # int_0^1 v^2, units of the final state
     i_total: float            # int_0^R v^2, same units
     i_logoff: float           # add to log(i_*) to undo overflow rescales
     samples: Optional[list]   # v at sample_r, units of the final state
@@ -215,8 +218,7 @@ def _panel(loc: _Local, lo: float, hi: float) -> float:
 
 
 def propagate(l: int, r: Sequence[float], k2: Sequence[float],
-              w: Sequence[float], r_core: float = 1.0,
-              want_norms: int = True,
+              w: Sequence[float], want_norms: int = True,
               sample_r: Optional[Sequence[float]] = None) -> KernelResult:
     """March the regular solution of channel l outward through the shells.
 
@@ -225,7 +227,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     ascending within (0, r[-1]].
 
     want_norms is False (no norms: i_core = i_total = 0), True (both) or
-    CORE_ONLY, which computes no quadrature panel beyond r_core, so i_total
+    CORE_ONLY, which computes no quadrature panel beyond _R_CORE, so i_total
     equals i_core; any other value raises ValueError.
 
     `zeros` counts the sign changes of v between consecutive substep ends,
@@ -279,11 +281,11 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
             if want_norms:
                 add_core = 0.0
                 add_total = 0.0
-                if sa < r_core < sb:
-                    add_core = add_total = _panel(loc, sa, r_core)
+                if sa < _R_CORE < sb:
+                    add_core = add_total = _panel(loc, sa, _R_CORE)
                     if outer:
-                        add_total += _panel(loc, r_core, sb)
-                elif sb <= r_core:
+                        add_total += _panel(loc, _R_CORE, sb)
+                elif sb <= _R_CORE:
                     add_core = add_total = _panel(loc, sa, sb)
                 elif outer:
                     add_total = _panel(loc, sa, sb)

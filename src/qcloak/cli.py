@@ -47,7 +47,9 @@ TRAP_AMPLIFICATION = 1e3
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All knobs of one experiment; defaults reproduce the reference cloak
-    (R = 1.005, 50 layers, E = 0.5, step core at 0.9)."""
+    (R = 1.005, 50 layers, E = 0.5, step core at 0.9).  Construction (and
+    `dataclasses.replace`) raises ConfigurationError naming the first bad
+    field, so a config that exists is valid."""
 
     R: float = 1.005
     n_layers: int = 50
@@ -71,7 +73,7 @@ class ExperimentConfig:
     force: bool = False
     phase_order: str = "low-first"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.core_radius <= 1.0:
             raise ConfigurationError(
                 f"core_radius: need 0 < step <= 1, got {self.core_radius}")
@@ -198,7 +200,6 @@ def check_energy_admissible(cfg: ExperimentConfig, E: float) -> None:
 # --- commands -------------------------------------------------------------
 
 def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> dict:
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = manifest_for("synthesize", cfg)
     written = []
@@ -213,7 +214,6 @@ def cmd_synthesize(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def cmd_phase_shifts(cfg: ExperimentConfig, outdir: Path) -> dict:
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     l_max = cfg.effective_l_max()
     cols = ["l"]
@@ -234,7 +234,6 @@ def cmd_phase_shifts(cfg: ExperimentConfig, outdir: Path) -> dict:
 
 
 def cmd_dn_compare(cfg: ExperimentConfig, outdir: Path) -> dict:
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     l_max = cfg.effective_l_max()
     system = cfg.build_system()
@@ -261,7 +260,6 @@ def convergence_layer_counts(R_list, n_ref: int, R_ref: float = 1.005):
 
 def cmd_convergence(cfg: ExperimentConfig, outdir: Path,
                     R_list=(1.1, 1.05, 1.01, 1.005)) -> dict:
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     if not cfg.force:
         check_energy_admissible(cfg, cfg.E)
@@ -335,7 +333,6 @@ def _write_mode(outdir: Path, manifest: dict, cfg: ExperimentConfig,
 
 def cmd_field_map(cfg: ExperimentConfig, outdir: Path,
                   kind: str = "segment") -> dict:
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     system = cfg.build_system()
     manifest = manifest_for("field-map", cfg, kind=kind)
@@ -352,7 +349,6 @@ def cmd_resonance_scan(cfg: ExperimentConfig, outdir: Path,
     cfg.E while the drive energy sweeps the window, so its interior levels
     sit at the off-design positions, not at the acoustic ones.
     """
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     system = cfg.build_system()
     window = (cfg.window_lo, cfg.window_hi)
@@ -383,7 +379,6 @@ def cmd_scenario(cfg: ExperimentConfig, outdir: Path, name: str) -> dict:
         raise ConfigurationError(f"unknown scenario {name!r}")
     cfg = replace(cfg, c_inn=SCENARIO_C_INN[name],
                   force=(name != "pass-through") or cfg.force)
-    cfg.validate()
     outdir.mkdir(parents=True, exist_ok=True)
     if not cfg.force:
         check_energy_admissible(cfg, cfg.E)
@@ -525,9 +520,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ConfigurationError(
             f"unknown config fields: {sorted(unknown)}")
-    cfg = ExperimentConfig(**{k: _coerce(k, v) for k, v in values.items()})
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**{k: _coerce(k, v) for k, v in values.items()})
 
 
 def _outdir(args: argparse.Namespace) -> Path:

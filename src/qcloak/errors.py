@@ -13,11 +13,6 @@ class SingularRegionError(DomainError):
     """Evaluation was requested inside the degenerate region of a cloak map."""
 
 
-class AnisotropyOrientationError(QcloakError, ValueError):
-    """Cell averages have tangential < radial response; the two-phase split
-    would need complex phase values."""
-
-
 class ResolutionError(QcloakError, ValueError):
     """A smoothing width or grid step is too coarse/fine to be meaningful."""
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
-    AnisotropyOrientationError,
     DomainError,
     GeometryError,
     ResolutionError,
@@ -125,8 +124,6 @@ def truncate(R: float, core_sigma: float = 1.0,
              core_a: float = 1.0) -> AnisotropicRadialMedium:
     """Truncate the ideal cloak at radius R in (1, 2], filling the core with
     the given constants.  R <= 1 is rejected: it would keep the singularity."""
-    if R <= 1.0:
-        raise DomainError(f"singular truncation rejected: R = {R} <= 1")
     return AnisotropicRadialMedium(R, core_sigma, core_a)
 
 
@@ -166,13 +163,6 @@ class LayeredMedium:
 
     def boundaries(self) -> list[float]:
         return [self.shells[0].r_in] + [s.r_out for s in self.shells]
-
-    def value_at(self, rho: float) -> tuple[float, float]:
-        """(sigma, a) of the shell containing rho (inner side at boundaries)."""
-        for s in self.shells:
-            if rho <= s.r_out or s is self.shells[-1]:
-                return s.sigma, s.a
-        raise DomainError(f"rho = {rho} outside [0, 3]")
 
     def thinnest_width(self) -> float:
         return min(s.r_out - s.r_in for s in self.shells)
@@ -228,20 +218,15 @@ def homogenize(medium: AnisotropicRadialMedium, n_layers: int,
     shells = [core]
     for c0, c1 in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (c0 + c1)
+        # mid lies in (R, 2), so 0 < m_r < 1/2 < m_t = 2
         m_r, m_t, a_cell = ideal_cloak_at(mid)
-        if m_t <= 0.0 or m_r <= 0.0 or a_cell <= 0.0:
-            raise DomainError("nonpositive cell averages")
-        if m_t < m_r:
-            raise AnisotropyOrientationError(
-                f"cell at {mid}: tangential {m_t} < radial {m_r}")
         disc = m_t * (m_t - m_r)
         root = math.sqrt(disc)
         v_hi, v_lo = m_t + root, m_t - root
-        half = 0.5 * (c0 + c1)
         first, second = ((v_lo, v_hi) if phase_order == "low-first"
                          else (v_hi, v_lo))
-        shells.append(Shell(c0, half, first, a_cell))
-        shells.append(Shell(half, c1, second, a_cell))
+        shells.append(Shell(c0, mid, first, a_cell))
+        shells.append(Shell(mid, c1, second, a_cell))
     shells.append(outer)
     return LayeredMedium(tuple(shells))
 

@@ -193,14 +193,17 @@ def plane_wave_field(system: System, E: float, points,
     the incidence direction.  The channel radial factors are the regular
     solutions normalized so the far field is e^{ikz} + outgoing; points on a
     shell boundary are evaluated from the inner side.  Each channel is solved
-    once: the sampled solve also yields delta_l at R_OUTER.
+    once: the sampled solve also yields delta_l at R_OUTER.  A negative, NaN
+    or infinite r, or |cos theta| > 1, raises DomainError.
     """
     pts = np.asarray(points, dtype=float)
     r = pts[:, 0]
     mu = pts[:, 1]
     # negated, so that NaN fails the check too
-    if not (np.all(r >= 0) and np.all(np.abs(mu) <= 1.0 + 1e-12)):
-        raise DomainError("points must have r >= 0 and |cos theta| <= 1")
+    if not (np.all((r >= 0) & (r < np.inf))
+            and np.all(np.abs(mu) <= 1.0 + 1e-12)):
+        raise DomainError(
+            "points must have finite r >= 0 and |cos theta| <= 1")
     if l_max is None:
         l_max = default_l_max(E)
     k = _far_field_k(E)

@@ -1,23 +1,26 @@
 """Per-channel radial propagation through layered media and potentials.
 
-`solve_channel` is the one solve for every system (`propagate_acoustic` and
-`propagate_schrodinger` are the same function).  It goes through the
+`solve_channel` is the one solve for every system, a core potential's
+unit-ball problem included (`propagate_acoustic`, `propagate_schrodinger`
+and `solve_core_channel` are the same function).  It goes through the
 system's `ShellStack`: the merged shell edges and per-shell a, sigma, W and
 derivative weights, none of which depends on E.  The stack is built once
 per system and kept on the system object, so a solve at energy E only forms
-k^2 = E a/sigma - W and runs the kernel.  A channel whose march returns
-non-finite boundary data raises `DomainError`; channels above
-`special.L_MAX_SUPPORTED` raise `ConfigurationError`.  `default_l_max`
-pads the centrifugal cut-off at `media.R_OUTER` by `L_MARGIN` channels.
+k^2 = E a/sigma - W and runs the kernel.  A non-finite E, or a channel
+whose march returns non-finite boundary data, raises `DomainError`;
+channels above `special.L_MAX_SUPPORTED` raise `ConfigurationError`.
+`default_l_max` pads the centrifugal cut-off at `media.R_OUTER` by
+`L_MARGIN` channels.
 
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable, else the pure-Python twin `qcloak._kernel_py`; set
 QCLOAK_PURE_PYTHON=1 to force the fallback.  Both expose the same one
-entry, `propagate`, and are interchangeable; the twin is also the reference
-the compiled kernel is tested against.  A solve keeps the boundary state at
-r_max and nothing per shell: phase shifts and DN values are matched at
-`media.R_OUTER`, where every system is free.
+entry, `propagate(l, r, k2, w, want_norms=True, sample_r=None)`, and are
+interchangeable; the twin is also the reference the compiled kernel is
+tested against.  A solve keeps the boundary state at r_max and nothing per
+shell: phase shifts and DN values are matched at `media.R_OUTER`, where
+every system is free.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import _kernel_py
-from .errors import ConfigurationError, DomainError, GeometryError
+from .errors import ConfigurationError, DomainError
 from .media import R_OUTER, CorePotential, LayeredMedium, RadialPotential
 from .special import L_MAX_SUPPORTED
 
@@ -78,7 +81,7 @@ class AcousticSystem:
     core: Optional[CorePotential] = None
 
 
-System = Union[AcousticSystem, LayeredMedium, RadialPotential]
+System = Union[AcousticSystem, LayeredMedium, RadialPotential, CorePotential]
 
 
 @dataclass(frozen=True)
@@ -167,8 +170,7 @@ class ChannelSolution:
     concentration: float
     zeros: int
     overflow: bool = False
-    sample_r: Optional[tuple] = None
-    sample_u: Optional[tuple] = None   # u(rho)/u(r_max)
+    sample_u: Optional[tuple] = None   # u(rho)/u(r_max) at sample_r
 
     @property
     def log_derivative_end(self) -> float:
@@ -201,8 +203,8 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
     if l < 0 or l > L_MAX_SUPPORTED:
         raise ConfigurationError(
             f"channel l={l} outside [0, {L_MAX_SUPPORTED}]")
-    if len(edges) != len(k2) + 1:
-        raise GeometryError("boundary/shell count mismatch")
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got E = {E}")
     r_max = edges[-1]
     samp = None
     if sample_r is not None:
@@ -214,8 +216,9 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         if np.any(sr[1:] < sr[:-1]):
             raise DomainError("sample radii must be sorted ascending")
         samp = sr.tolist()
-    res = _impl.propagate(l, edges, k2, w, r_core=1.0,
-                          want_norms=want_norms, sample_r=samp)
+    # by keyword: perfbench's tracer reads the kernel's arguments by name
+    res = _impl.propagate(l, edges, k2, w, want_norms=want_norms,
+                          sample_r=samp)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
         # the regular start overflows for high l where x = k*rho is tiny
         raise DomainError(
@@ -247,7 +250,6 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
         concentration=conc, zeros=res.zeros, overflow=res.overflow,
-        sample_r=tuple(samp) if samp is not None else None,
         sample_u=sample_u)
 
 
@@ -256,6 +258,7 @@ def solve_channel(system: System, l: int, E: float, want_norms: int = True,
                   ) -> ChannelSolution:
     """Regular solution of channel l at energy E, for every system.
 
+    A `CorePotential` W is solved on the unit ball as -lap + W.
     Acoustic systems and layered media solve
     div(sigma grad u) + (E a - sigma W) u = 0, matching u and sigma u'
     across every interface.  Potentials solve (-lap + V) psi = E psi: plain
@@ -271,10 +274,4 @@ def solve_channel(system: System, l: int, E: float, want_norms: int = True,
 
 
 propagate_acoustic = propagate_schrodinger = solve_channel
-
-
-def solve_core_channel(W: CorePotential, l: int, E: float,
-                       want_norms: bool = False) -> ChannelSolution:
-    """Regular solution of the core operator on the unit ball."""
-    st = shell_stack(W)
-    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, None)
+solve_core_channel = solve_channel

@@ -49,16 +49,12 @@ def _sph_jy_pair(l: int, x: float) -> tuple[float, float, float, float]:
     ym, y = y0, y1
     for n in range(1, l):
         ym, y = y, (2 * n + 1) / x * y - ym
-    if l == 1:
-        ym, y = y0, y1
 
     # j_l: upward when x dominates l, else downward Miller normalized by j0.
     if x >= l + 1:
         jm, j = j0, j1
         for n in range(1, l):
             jm, j = j, (2 * n + 1) / x * j - jm
-        if l == 1:
-            jm, j = j0, j1
         return jm, j, ym, y
 
     n_start = l + 18 + int(2.0 * math.sqrt(l))

@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError
 from .media import R_OUTER, CorePotential
-from .propagate import CORE_ONLY, System, solve_channel, solve_core_channel
+from .propagate import CORE_ONLY, System, solve_channel
 from .special import spherical_bessel
 
 #: concentration band reported as "mixed" between interior and exterior
@@ -199,7 +199,7 @@ def neumann_core_eigenvalues(W: CorePotential, l: int,
     lo, hi = window
 
     def f(E):
-        return solve_core_channel(W, l, E).neumann_value
+        return solve_channel(W, l, E, want_norms=False).neumann_value
 
     return [SpectralPoint(root, l, "interior", 1.0, "neumann-b1")
             for root in _roots(f, lo, hi, n_scan, xtol)]
@@ -274,6 +274,8 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     certified rather than sampled by luck.  Without a pole above
     AMP_THRESHOLD the report carries the flat grid response and no pole.
     """
+    if n_scan < 1:
+        raise DomainError(f"n_scan: need a count >= 1, got {n_scan}")
     lo, hi = E_range
     grid = np.linspace(lo, hi, n_scan)
     amps = np.array([_amplification(system, l, E) for E in grid])

@@ -28,8 +28,8 @@ from scipy.special import spherical_in, spherical_jn, spherical_yn
 
 from qcloak import _kernel_py
 from qcloak._kernel_py import (CORE_ONLY, KernelResult, _EPS_ORIGIN,
-                               _NORM_CEIL, _NORM_SHIFT, _Local, _panel,
-                               _substeps, _use_power)
+                               _NORM_CEIL, _NORM_SHIFT, _R_CORE, _Local,
+                               _panel, _substeps, _use_power)
 from qcloak.errors import ConfigurationError, DomainError, GeometryError
 from qcloak.media import CorePotential, RadialPotential
 from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
@@ -411,7 +411,7 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
     edges, k2, w = [0.0, 1.0], [20.0], [1.0]
     for i in range(1, n_barrier + 1):
         a = edges[-1]
-        res = _kernel_py.propagate(0, edges, k2, w, 1.0, False)
+        res = _kernel_py.propagate(0, edges, k2, w, False)
         g = res.q3 / res.p3
         w.append(w[-1] * (g - 1.0 / a) / (-kappa - 1.0 / a))
         k2.append(-kappa * kappa)
@@ -423,12 +423,13 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
 # The kernel march as it evaluated each sample by its own `_Local.value`
 # call and rescaled it on its own, and the solve that converted the samples
 # one at a time; the array pass after the march replaced both loops.  Kept
-# verbatim except for the per-shell log-derivatives, which neither the
-# kernels nor `ChannelSolution` carry any more.
+# verbatim except for the per-shell log-derivatives and the sample radii,
+# which neither the kernels nor `ChannelSolution` carry any more, and the
+# core radius, which is the kernels' constant `_R_CORE`.
 
 def per_sample_propagate(l: int, r: Sequence[float],
                          k2: Sequence[float], w: Sequence[float],
-                         r_core: float = 1.0, want_norms: int = True,
+                         want_norms: int = True,
                          sample_r: Optional[Sequence[float]] = None
                          ) -> KernelResult:
     """The former `_kernel_py.propagate`."""
@@ -477,11 +478,11 @@ def per_sample_propagate(l: int, r: Sequence[float],
             if want_norms:
                 add_core = 0.0
                 add_total = 0.0
-                if sa < r_core < sb:
-                    add_core = add_total = _panel(loc, sa, r_core)
+                if sa < _R_CORE < sb:
+                    add_core = add_total = _panel(loc, sa, _R_CORE)
                     if outer:
-                        add_total += _panel(loc, r_core, sb)
-                elif sb <= r_core:
+                        add_total += _panel(loc, _R_CORE, sb)
+                elif sb <= _R_CORE:
                     add_core = add_total = _panel(loc, sa, sb)
                 elif outer:
                     add_total = _panel(loc, sa, sb)
@@ -530,8 +531,7 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
         samp = [min(max(float(s), 0.0), r_max) for s in sample_r]
         if any(b < a for a, b in zip(samp, samp[1:])):
             raise DomainError("sample radii must be sorted ascending")
-    res = propagate(l, edges, k2, w, r_core=1.0,
-                    want_norms=want_norms, sample_r=samp)
+    res = propagate(l, edges, k2, w, want_norms=want_norms, sample_r=samp)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
         # the regular start overflows for high l where x = k*rho is tiny
         raise DomainError(
@@ -559,5 +559,4 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
         l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
         concentration=conc, zeros=res.zeros, overflow=res.overflow,
-        sample_r=tuple(samp) if samp is not None else None,
         sample_u=sample_u)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 
@@ -19,17 +20,20 @@ def fast_cfg(**over):
 
 class TestConfig:
     def test_defaults_validate(self):
-        cli.ExperimentConfig().validate()
+        cfg = cli.ExperimentConfig()
+        # replace re-runs the checks on the new values
+        with pytest.raises(ConfigurationError, match="n_scan:"):
+            dataclasses.replace(cfg, n_scan=0)
 
     def test_diagnostics_name_the_field(self):
         with pytest.raises(ConfigurationError, match="R:"):
-            cli.ExperimentConfig(R=0.9).validate()
+            cli.ExperimentConfig(R=0.9)
         with pytest.raises(ConfigurationError, match="E:"):
-            cli.ExperimentConfig(E=-1.0).validate()
+            cli.ExperimentConfig(E=-1.0)
         with pytest.raises(ConfigurationError, match="n_layers:"):
-            cli.ExperimentConfig(n_layers=7).validate()
+            cli.ExperimentConfig(n_layers=7)
         with pytest.raises(ConfigurationError, match="core_radius:"):
-            cli.ExperimentConfig(core_radius=1.4).validate()
+            cli.ExperimentConfig(core_radius=1.4)
 
     def test_config_file_plus_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import qcloak as qc
 from qcloak.errors import (
-    AnisotropyOrientationError,
     DomainError,
     GeometryError,
     ResolutionError,
@@ -193,12 +192,6 @@ class TestHomogenize:
             homogenize(med, 7)
         with pytest.raises(DomainError):
             homogenize(med, 0)
-
-    def test_orientation_guard(self):
-        # tangential < radial is impossible for the cloak family; exercise
-        # the guard through the quadratic directly
-        with pytest.raises(AnisotropyOrientationError):
-            raise AnisotropyOrientationError("m_t < m_r")
 
     def test_geometric_grading_concentrates_near_surface(self):
         med = truncate(1.01)

@@ -127,6 +127,8 @@ class TestPlaneWaveField:
         rng = np.random.default_rng(4)
         pts = np.column_stack([rng.uniform(0.0, 3.0, 50),
                                rng.uniform(-1.0, 1.0, 50)])
+        # points beyond the outer ball take the free continuation
+        pts = np.vstack([pts, [[3.5, -1.0], [4.0, 0.5]]])
         psi = qc.plane_wave_field(free_medium, E0, pts, l_max=25)
         exact = np.exp(1j * K0 * pts[:, 0] * pts[:, 1])
         assert np.max(np.abs(psi - exact)) < 1e-8
@@ -184,6 +186,12 @@ class TestPlaneWaveField:
     def test_nan_point_rejected(self, free_medium, pts):
         with pytest.raises(DomainError):
             qc.plane_wave_field(free_medium, E0, pts, l_max=4)
+
+    def test_infinite_radius_rejected(self, free_medium):
+        # scipy's j_l and y_l vanish at x = inf, so the field would read 0
+        with pytest.raises(DomainError, match="finite r"):
+            qc.plane_wave_field(free_medium, E0,
+                                [[math.inf, 0.5], [1.0, 0.5]], l_max=4)
 
 
 class TestRadialModeEdgeCases:

@@ -344,9 +344,8 @@ class TestKernelInternals:
             samp = list(np.linspace(0.05, 3.0, 13))
             for l in (0, 3, 11):
                 assert_kernels_agree(
-                    compiled_kernel.propagate(l, edges, k2, w, 1.0, True,
-                                              samp),
-                    _kernel_py.propagate(l, edges, k2, w, 1.0, True, samp))
+                    compiled_kernel.propagate(l, edges, k2, w, True, samp),
+                    _kernel_py.propagate(l, edges, k2, w, True, samp))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(args=kernel_stacks())
@@ -354,7 +353,7 @@ class TestKernelInternals:
                                                       args):
         l, r, k2, w, sample_r = args
         for want_norms in (False, True, CORE_ONLY):
-            call = (l, r, k2, w, 1.0, want_norms, sample_r)
+            call = (l, r, k2, w, want_norms, sample_r)
             ours = _kernel_py.propagate(*call)
             assert_kernels_agree(compiled_kernel.propagate(*call), ours)
         # v starts positive and every zero flips its sign
@@ -377,7 +376,7 @@ class TestKernelInternals:
         for kernel in (compiled_kernel, _kernel_py):
             with pytest.raises(ValueError, match="want_norms"):
                 kernel.propagate(0, [0.0, 1.0, 3.0], [0.5, 0.5], [1.0, 1.0],
-                                 1.0, want_norms)
+                                 want_norms)
 
     def test_deep_evanescent_stack_stays_finite(self):
         # a tall wide barrier would overflow naive fundamental products
@@ -414,9 +413,8 @@ class TestCoreOnlyNorms:
             st = shell_stack(cloak_builder(1.005, 50, c_inn))
             for l, E in ((0, 0.44738), (2, 1.3), (5, 3.1)):
                 k2 = st.k2(E)
-                full = kernel.propagate(l, st.edges, k2, st.w, 1.0, True)
-                core = kernel.propagate(l, st.edges, k2, st.w, 1.0,
-                                        CORE_ONLY)
+                full = kernel.propagate(l, st.edges, k2, st.w, True)
+                core = kernel.propagate(l, st.edges, k2, st.w, CORE_ONLY)
                 assert not full.overflow
                 assert bits([core.i_core, core.i_total, core.i_logoff]) == \
                     bits([full.i_core, full.i_core, full.i_logoff])
@@ -484,7 +482,7 @@ class TestSampleArrayPass:
     def test_python_kernel_matches_per_sample_march(self, args):
         l, r, k2, w, sample_r = args
         for want_norms in (False, True):
-            call = (l, r, k2, w, 1.0, want_norms, sample_r)
+            call = (l, r, k2, w, want_norms, sample_r)
             assert pickle.dumps(_kernel_py.propagate(*call)) == \
                 pickle.dumps(oracles.per_sample_propagate(*call))
 
@@ -559,7 +557,8 @@ class TestShielding:
 class TestOneSolve:
     def test_every_system_goes_through_solve_channel(self):
         assert (qc.propagate_acoustic is qc.propagate_schrodinger
-                is qc.solve_channel is propagate.solve_channel)
+                is qc.solve_core_channel is qc.solve_channel
+                is propagate.solve_channel)
 
 
 class TestValidation:
@@ -586,6 +585,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             qc.propagate_acoustic(free_medium, 0, E0,
                                   sample_r=[2.0, 1.0])
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_energy_rejected(self, free_medium, bad, backend,
+                                       request, monkeypatch):
+        # refused before the kernel runs: the Python twin's substep count
+        # cannot take a non-finite k2, and C would cast a NaN count to int
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        for system in (free_medium, qc.CorePotential.step(-71.45, 0.9)):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                qc.solve_channel(system, 0, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_samples_rejected(self, free_medium, bad):

@@ -246,6 +246,11 @@ class TestResonanceScan:
         with pytest.raises(DomainError):
             qc.dirichlet_eigenvalues(free_medium, 0, (1.0, 1.0))
 
+    @pytest.mark.parametrize("n_scan", [0, -3])
+    def test_scan_count_validation(self, free_medium, n_scan):
+        with pytest.raises(DomainError, match="n_scan"):
+            qc.resonance_scan(free_medium, 0, (0.4, 0.6), n_scan=n_scan)
+
     def test_gauge_potential_trap_sits_at_the_off_design_energy(
             self, cloak_builder):
         # the potential is synthesized at a design energy, so its spectrum
@@ -349,9 +354,14 @@ class TestBracketEnds:
             W = qc.CorePotential.step(-71.45, 0.9)
             roots = [p.E for p in qc.neumann_core_eigenvalues(W, 0,
                                                               (-70.0, 60.0))]
+            # every scan solve skips the norms: a normed core solve would
+            # add a quadrature panel to each substep
+            assert len(solves) > 2000
+            assert all(args[5] is False for args in solves)
 
             def f(E):
-                return qc.solve_core_channel(W, 0, E).neumann_value
+                return qc.solve_channel(W, 0, E,
+                                        want_norms=False).neumann_value
         assert len(roots) == len(calls) >= 3
         for (a, b, xtol, root, evals, n_solves), r in zip(calls, roots):
             assert root == r == brentq(f, a, b, xtol=xtol)
