@@ -4,8 +4,12 @@ and sampled wave fields.
 Every system is free (sigma = a = 1, V = 0) at the outer sphere
 r = R_OUTER, so the log-derivative there carries a channel's whole
 far-field content: phase shifts and DN values are both matched at R_OUTER.
-`dn_spectrum` refuses an energy whose boundary value falls below
-`U_THRESHOLD` in some channel.
+`phase_shifts` and `dn_spectrum` read their channels from the system's
+outer-sphere table (`propagate.outer_sphere_solutions`), so a pair of calls
+at one (system, E) solves each channel once.  `dn_spectrum` refuses an
+energy whose boundary value falls below `U_THRESHOLD` in some channel,
+before it solves any higher channel.  A non-finite E raises DomainError
+and an l_max that is not an integer >= 0 raises ConfigurationError.
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, NearEigenvalueError
 from .media import R_OUTER
-from .propagate import ChannelSolution, System, default_l_max, solve_channel
+from .propagate import (
+    ChannelSolution,
+    System,
+    checked_l_max,
+    outer_sphere_solutions,
+    solve_channel,
+)
 from .special import spherical_bessel
 
 #: |u(R_OUTER)| below which `dn_spectrum` treats E as a Dirichlet eigenvalue
@@ -86,14 +96,11 @@ def phase_shifts(system: System, E: float,
     R_OUTER: tan(delta) = (k j' - g j)/(k y' - g y) at x = k*R_OUTER.
 
     Single-energy values use the principal branch; energy scans unwrap with
-    `unwrap_phases`.
+    `unwrap_phases`.  Channels come from the system's outer-sphere table.
     """
     k = _far_field_k(E)
-    if l_max is None:
-        l_max = default_l_max(E)
-    deltas = tuple(
-        _match_delta(solve_channel(system, l, E, want_norms=False), k)
-        for l in range(l_max + 1))
+    deltas = tuple(_match_delta(sol, k)
+                   for sol in outer_sphere_solutions(system, E, l_max))
     return PhaseShifts(E, k, deltas)
 
 
@@ -151,17 +158,16 @@ def dn_spectrum(system: System, E: float,
 
     Raises NearEigenvalueError naming the channel when the boundary value of
     the regular solution falls below U_THRESHOLD (E is numerically a
-    Dirichlet eigenvalue of the full problem).
+    Dirichlet eigenvalue of the full problem).  Channels come from the
+    system's outer-sphere table, read in ascending l up to the first one
+    refused.
     """
-    if l_max is None:
-        l_max = default_l_max(E)
     lam = []
-    for l in range(l_max + 1):
-        sol = solve_channel(system, l, E, want_norms=False)
+    for sol in outer_sphere_solutions(system, E, l_max):
         if abs(sol.dirichlet_value) < U_THRESHOLD:
             raise NearEigenvalueError(
                 f"E = {E} is numerically a Dirichlet eigenvalue in channel "
-                f"l = {l}", l=l, E=E)
+                f"l = {sol.l}", l=sol.l, E=E)
         lam.append(sol.log_derivative_end)
     return DNSpectrum(E, tuple(lam))
 
@@ -204,9 +210,8 @@ def plane_wave_field(system: System, E: float, points,
             and np.all(np.abs(mu) <= 1.0 + 1e-12)):
         raise DomainError(
             "points must have finite r >= 0 and |cos theta| <= 1")
-    if l_max is None:
-        l_max = default_l_max(E)
     k = _far_field_k(E)
+    l_max = checked_l_max(E, l_max)
 
     inside = r <= R_OUTER
     r_in = r[inside]

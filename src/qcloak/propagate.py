@@ -12,6 +12,15 @@ channels above `special.L_MAX_SUPPORTED` raise `ConfigurationError`.
 `default_l_max` pads the centrifugal cut-off at `media.R_OUTER` by
 `L_MARGIN` channels.
 
+Beside the stack, each system keeps one outer-sphere table: the unnormed
+solves of channels 0..L at the last energy E it was asked for.
+`observables.phase_shifts` and `observables.dn_spectrum` read their
+channels from it through `outer_sphere_solutions`, so a pair of calls at
+one (system, E) marches each channel once.  A larger l_max extends the
+table and a new E replaces it; either way a new immutable tuple is
+published in one store, so threads sharing a system never see a half-built
+table.
+
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable, else the pure-Python twin `qcloak._kernel_py`; set
@@ -26,9 +35,10 @@ every system is free.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -275,3 +285,46 @@ def solve_channel(system: System, l: int, E: float, want_norms: int = True,
 
 propagate_acoustic = propagate_schrodinger = solve_channel
 solve_core_channel = solve_channel
+
+
+def checked_l_max(E: float, l_max: Optional[int]) -> int:
+    """`l_max`, or `default_l_max(E)` when it is None, for a request of
+    channels 0..l_max at E: a non-finite E raises DomainError, an l_max
+    that is not an integer >= 0 raises ConfigurationError."""
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got E = {E}")
+    if l_max is None:
+        return default_l_max(E)
+    if not isinstance(l_max, numbers.Integral) or l_max < 0:
+        raise ConfigurationError(
+            f"l_max must be an integer >= 0, got {l_max!r}")
+    return l_max
+
+
+def outer_sphere_solutions(system: System, E: float,
+                           l_max: Optional[int] = None
+                           ) -> Iterator[ChannelSolution]:
+    """The unnormed solves of channels 0..l_max at E, in ascending l, read
+    from the system's outer-sphere table.
+
+    The table is one slot on the system object, beside its shell stack: the
+    solves of channels 0..L at the last energy asked for.  Channels above L
+    are solved one at a time, when the caller asks for them, so a caller
+    that stops at a channel (`dn_spectrum` at a Dirichlet eigenvalue)
+    solves nothing above it.  A new E replaces the table.  Each solve
+    publishes a new immutable (key, solutions) tuple in one store, so a
+    concurrent caller reads either the old table or the new one, never a
+    half-built or misindexed one.  E and l_max are checked by
+    `checked_l_max` when the first channel is read.
+    """
+    l_max = checked_l_max(E, l_max)
+    # keyed by the kernel too, so that a kernel swapped in (as the tests
+    # do) never reads another kernel's table; a name keeps it picklable
+    key = (_impl.__name__, E)
+    table = system.__dict__.get("_outer_table")
+    sols = table[1] if table is not None and table[0] == key else ()
+    yield from sols[:l_max + 1]
+    for l in range(len(sols), l_max + 1):
+        sols += (solve_channel(system, l, E, want_norms=False),)
+        system.__dict__["_outer_table"] = (key, sols)
+        yield sols[l]

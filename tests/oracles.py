@@ -11,7 +11,9 @@ array builders (`_acoustic_arrays`, `_schrodinger_arrays`,
 count replaced; `_amplification`, the fully normed core response that
 the core-only solve replaced; and `per_sample_propagate` and
 `per_sample_solve`, the kernel march and solve that evaluated and converted
-field samples one at a time, which the array pass replaced.
+field samples one at a time, which the array pass replaced; and
+`per_channel_phase_shifts` and `per_channel_dn_spectrum`, which solved
+every channel on its own in each call, before the outer-sphere table.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ from qcloak import _kernel_py
 from qcloak._kernel_py import (CORE_ONLY, KernelResult, _EPS_ORIGIN,
                                _NORM_CEIL, _NORM_SHIFT, _R_CORE, _Local,
                                _panel, _substeps, _use_power)
-from qcloak.errors import ConfigurationError, DomainError, GeometryError
+from qcloak.errors import (ConfigurationError, DomainError, GeometryError,
+                           NearEigenvalueError)
 from qcloak.media import CorePotential, RadialPotential
+from qcloak.observables import (U_THRESHOLD, DNSpectrum, PhaseShifts,
+                                _far_field_k, _match_delta)
 from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
-                              solve_channel)
+                              default_l_max, solve_channel)
 from qcloak.special import L_MAX_SUPPORTED
 from qcloak.spectral import classify
 
@@ -560,3 +565,33 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
         log_norm_core=log_core, log_norm_total=log_total,
         concentration=conc, zeros=res.zeros, overflow=res.overflow,
         sample_u=sample_u)
+
+
+def per_channel_phase_shifts(system: System, E: float,
+                             l_max: Optional[int] = None) -> PhaseShifts:
+    """The former `observables.phase_shifts`: each call solves channels
+    0..l_max on its own."""
+    k = _far_field_k(E)
+    if l_max is None:
+        l_max = default_l_max(E)
+    deltas = tuple(
+        _match_delta(solve_channel(system, l, E, want_norms=False), k)
+        for l in range(l_max + 1))
+    return PhaseShifts(E, k, deltas)
+
+
+def per_channel_dn_spectrum(system: System, E: float,
+                            l_max: Optional[int] = None) -> DNSpectrum:
+    """The former `observables.dn_spectrum`: each call solves channels in
+    ascending l on its own, up to the first one at a Dirichlet eigenvalue."""
+    if l_max is None:
+        l_max = default_l_max(E)
+    lam = []
+    for l in range(l_max + 1):
+        sol = solve_channel(system, l, E, want_norms=False)
+        if abs(sol.dirichlet_value) < U_THRESHOLD:
+            raise NearEigenvalueError(
+                f"E = {E} is numerically a Dirichlet eigenvalue in channel "
+                f"l = {l}", l=l, E=E)
+        lam.append(sol.log_derivative_end)
+    return DNSpectrum(E, tuple(lam))

@@ -35,6 +35,24 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="core_radius:"):
             cli.ExperimentConfig(core_radius=1.4)
 
+    @pytest.mark.parametrize("field, value", [
+        ("E", math.nan), ("E", math.inf), ("c_inn", math.nan),
+        ("c_inn", -math.inf), ("grading_ratio", math.nan),
+        ("eta", math.inf), ("grid_step", math.nan),
+        ("window_lo", math.nan), ("window_hi", math.inf),
+        ("refusal_tol", math.nan), ("refusal_tol", math.inf),
+        ("refusal_tol", -1.0)])
+    def test_nonfinite_or_negative_floats_refused(self, field, value):
+        # direct construction, which the command line's coercion skips
+        name = "window" if field.startswith("window") else field
+        with pytest.raises(ConfigurationError, match=f"{name}:"):
+            cli.ExperimentConfig(**{field: value})
+
+    def test_finite_edge_values_still_construct(self):
+        cli.ExperimentConfig(refusal_tol=0.0, c_inn=-1e300,
+                             grading_ratio=-2.0, window_hi=1e300,
+                             eta=1e-3, grid_step=1e-5)
+
     def test_config_file_plus_flag_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"R": 1.05, "n_layers": 16}))
@@ -196,6 +214,21 @@ class TestConvergence:
         cfg = fast_cfg(R=2.0, core_preset="unit", c_inn=0.0)
         out = cli.cmd_dn_compare(cfg, tmp_path)
         assert out["max_deviation"] < 1e-10
+
+    def test_dn_compare_computes_the_free_spectrum_once(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        real = qc.observables.free_dn_spectrum
+        monkeypatch.setattr(qc.observables, "free_dn_spectrum",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = fast_cfg(c_inn=-98.5)
+        out = cli.cmd_dn_compare(cfg, tmp_path)
+        assert calls == [(cfg.E, 8)]
+        calls.clear()
+        dn = qc.dn_spectrum(cfg.build_system(), cfg.E, 8)
+        assert out["max_deviation"] == dn.max_deviation_from_free()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["max_deviation"] == out["max_deviation"]
 
     def test_table_reruns_are_byte_identical(self, tmp_path):
         cfg = fast_cfg(c_inn=-71.45)

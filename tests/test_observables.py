@@ -1,6 +1,9 @@
 import json
 import math
+import pickle
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import qcloak as qc
 from qcloak import _kernel_py, observables, propagate
-from qcloak.errors import DomainError, NearEigenvalueError
+from qcloak.errors import ConfigurationError, DomainError, NearEigenvalueError
 from qcloak.observables import legendre_values, optical_theorem_defect
 
 import oracles
@@ -315,6 +318,151 @@ class TestOuterSphereValuesPinned:
                     "delta": [x.hex() for x in
                               qc.phase_shifts(system, E0, l_max=12).delta]}
         assert got == self.PINS
+
+
+def outcome(f, *args) -> bytes:
+    """The pickled result of f(*args), or the error it raised."""
+    try:
+        return pickle.dumps(f(*args))
+    except (DomainError, NearEigenvalueError) as exc:
+        return repr(exc).encode()
+
+
+class TestOuterSphereTable:
+    """`phase_shifts` and `dn_spectrum` read one table per system: the
+    solves of channels 0..L at the last energy asked for."""
+
+    ENERGIES = (0.3, 0.44738, 0.5)
+    #: a prefix of the table, then growth past it, then a prefix again
+    L_MAX_ORDER = (8, 14, 10)
+
+    @staticmethod
+    def systems(cloak_builder):
+        out = {c: cloak_builder(1.005, 50, c) for c in (-98.5, 1.858, -71.45)}
+        acoustic = out[-98.5]
+        out["gauge"] = qc.attach_core(
+            qc.gauge_potential(acoustic.medium, E0), acoustic.core)
+        layers = qc.homogenize(qc.truncate(1.1, *qc.DOUBLED_CORE), 12)
+        out["mollified"] = qc.gauge_potential(layers, E0, mode="mollified")
+        return out
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The channel l of every kernel call, in call order."""
+        calls = []
+        real = propagate._impl.propagate
+        monkeypatch.setattr(propagate._impl, "propagate",
+                            lambda *a, **kw: calls.append(a[0]) or
+                            real(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_pickles_match_per_channel_solves(self, cloak_builder, backend,
+                                              request, monkeypatch):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        for name, system in self.systems(cloak_builder).items():
+            for E in self.ENERGIES:
+                for l_max in self.L_MAX_ORDER:
+                    for ours, former in (
+                            (qc.phase_shifts,
+                             oracles.per_channel_phase_shifts),
+                            (qc.dn_spectrum,
+                             oracles.per_channel_dn_spectrum)):
+                        assert outcome(ours, system, E, l_max) == \
+                            outcome(former, system, E, l_max), (name, E, l_max)
+
+    def test_each_channel_is_solved_once_per_energy(self, cloak_builder,
+                                                    kernel_calls):
+        system = cloak_builder(1.005, 50, -98.5)
+        qc.phase_shifts(system, E0, 10)
+        qc.dn_spectrum(system, E0, 10)
+        assert kernel_calls == list(range(11))
+        kernel_calls.clear()
+        # a repeat and a prefix solve nothing
+        qc.dn_spectrum(system, E0, 10)
+        qc.phase_shifts(system, E0, 6)
+        assert kernel_calls == []
+        # a larger l_max solves only the new channels
+        qc.dn_spectrum(system, E0, 13)
+        assert kernel_calls == [11, 12, 13]
+        kernel_calls.clear()
+        # a new energy replaces the table; so does the first energy again
+        qc.phase_shifts(system, 0.3, 4)
+        qc.dn_spectrum(system, E0, 2)
+        assert kernel_calls == list(range(5)) + list(range(3))
+
+    def test_refused_channel_stops_the_solves(self, kernel_calls):
+        # channels l >= 41 raise DomainError at this energy, so the l = 0
+        # refusal must come before any of them is solved
+        free = qc.LayeredMedium((qc.Shell(0.0, 3.0, 1.0, 1.0),))
+        E_star = (math.pi / 3.0) ** 2
+        with pytest.raises(DomainError):
+            qc.solve_channel(free, 41, E_star)
+        kernel_calls.clear()
+        with pytest.raises(NearEigenvalueError) as info:
+            qc.dn_spectrum(free, E_star, 48)
+        assert info.value.l == 0
+        assert kernel_calls == [0]
+        # the phase shifts reach the overflowing channel, as they did
+        with pytest.raises(DomainError, match="l = 41"):
+            qc.phase_shifts(free, E_star, 48)
+
+    def test_threads_sharing_a_system_match_serial_calls(self,
+                                                         cloak_builder):
+        requests = [(f, E, l_max) for f in (qc.phase_shifts, qc.dn_spectrum)
+                    for E in (0.3, 0.5, 0.7) for l_max in (4, 9, 12)]
+        serial = {}
+        for f, E, l_max in requests:
+            serial[f, E, l_max] = pickle.dumps(
+                f(cloak_builder(1.05, 16, -98.5), E, l_max))
+
+        def run(shared, seed):
+            order = np.random.default_rng(seed).permutation(len(requests))
+            return [(requests[i], pickle.dumps(f(shared, E, l_max)))
+                    for i in order for f, E, l_max in [requests[i]]]
+
+        # switch threads often, so that they interleave inside the solves
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for trial in range(4):
+                shared = cloak_builder(1.05, 16, -98.5)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = [r for rs in pool.map(
+                        run, [shared] * 8, range(8 * trial, 8 * trial + 8))
+                        for r in rs]
+                assert len(results) == 8 * len(requests)
+                for key, got in results:
+                    assert got == serial[key], key
+                key, sols = shared.__dict__["_outer_table"]
+                assert [s.l for s in sols] == list(range(len(sols)))
+                assert all(s.E == key[-1] for s in sols)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_energy_rejected(self, free_medium, bad):
+        pts = np.array([[1.0, 0.5], [4.0, -0.5]])
+        for call in (lambda: qc.phase_shifts(free_medium, bad),
+                     lambda: qc.dn_spectrum(free_medium, bad),
+                     lambda: qc.plane_wave_field(free_medium, bad, pts)):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.0, 3.5])
+    def test_bad_l_max_rejected(self, free_medium, bad):
+        pts = np.array([[1.0, 0.5], [4.0, -0.5]])
+        for call in (lambda: qc.phase_shifts(free_medium, E0, bad),
+                     lambda: qc.dn_spectrum(free_medium, E0, bad),
+                     lambda: qc.plane_wave_field(free_medium, E0, pts,
+                                                 bad)):
+            with pytest.raises(ConfigurationError, match="l_max"):
+                call()
+
+    def test_numpy_integer_l_max_accepted(self, free_medium):
+        assert qc.phase_shifts(free_medium, E0, np.int64(3)).l_max == 3
 
 
 class TestPlaneWaveFieldSolvesOnce:
