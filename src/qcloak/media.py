@@ -8,14 +8,24 @@ Pipeline implemented here:
 
 Radii are dimensionless; the construction lives on the ball of radius 3,
 the cloak shell occupies [R, 2], and everything is free space on [2, 3].
+
+The mollified gauge and `mollify_medium` smooth every radius of the grid in
+one array pass (`_smoothed_profile`), with the scalar operation order: the
+jumps in ascending radius, the Gauss moments node by node.  The powers u^3,
+u^5 and u^7 of the bump's integral go through `math.pow` per element, the
+libm pow of the scalar code: numpy's `power` takes a SIMD path on some
+hosts and rounds differently there, so it would tie the bits to the host's
+SIMD.
 """
 
 from __future__ import annotations
 
-import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -23,6 +33,7 @@ from .errors import (
     ResolutionError,
     SingularRegionError,
 )
+from .special import _map
 
 R_OUTER = 3.0
 R_SHELL = 2.0
@@ -311,80 +322,50 @@ class RadialPotential:
     def boundaries(self) -> list[float]:
         return [self.shells[0].r_in] + [s.r_out for s in self.shells]
 
-    def value_at(self, rho: float) -> float:
-        for s in self.shells:
-            if rho <= s.r_out or s is self.shells[-1]:
-                return s.V
-        raise DomainError(f"rho = {rho} outside [0, 3]")
 
+# --- mollification (C^2 bump of unit mass and width eta) ------------------
 
-# --- mollification kernel (C^2 bump, unit mass, width eta) ----------------
+def _smoothed_profile(sig, mas, eta: float, rho: np.ndarray):
+    """Smoothed sigma, sigma', sigma'' and a at the ascending radii rho.
 
-def _bump(u: float) -> float:
-    if abs(u) >= 1.0:
-        return 0.0
-    t = 1.0 - u * u
-    return (35.0 / 32.0) * t * t * t
-
-
-def _bump_prime(u: float) -> float:
-    if abs(u) >= 1.0:
-        return 0.0
-    t = 1.0 - u * u
-    return (35.0 / 32.0) * (-6.0 * u) * t * t
-
-
-def _bump_integral(u: float) -> float:
-    if u <= -1.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return (35.0 / 32.0) * (u - u ** 3 + 0.6 * u ** 5 - u ** 7 / 7.0
-                            + 16.0 / 35.0)
-
-
-class _SmoothedProfile:
-    """sigma (or a) of a layered medium convolved with the bump kernel.
-
-    Jumps below the kernel window enter through a prefix sum; only the one
-    or two jumps inside the window are evaluated pointwise.
+    `sig` and `mas` are (base, jumps): the innermost value and the
+    ascending (r_j, dv) steps of the layered sigma and a.  A jump adds its
+    full dv where r_j <= rho - eta, and dv times the bump's integral (and
+    the bump and its slope, for sigma' and sigma'') where
+    rho - eta < r_j < rho + eta.  Pass k adds every radius's k-th jump
+    inside its window, so each radius sums its jumps in ascending order.
     """
-
-    def __init__(self, base: float, jumps: list[tuple[float, float]],
-                 eta: float):
-        self.base = base
-        self.jumps = jumps
-        self.eta = eta
-        self._locs = [r for r, _ in jumps]
-        self._prefix = [base]
-        for _, dv in jumps:
-            self._prefix.append(self._prefix[-1] + dv)
-
-    def _window(self, rho: float):
-        lo = bisect.bisect_right(self._locs, rho - self.eta)
-        hi = bisect.bisect_left(self._locs, rho + self.eta)
-        return lo, hi
-
-    def value(self, rho: float) -> float:
-        lo, hi = self._window(rho)
-        v = self._prefix[lo]
-        for r_j, dv in self.jumps[lo:hi]:
-            v += dv * _bump_integral((rho - r_j) / self.eta)
-        return v
-
-    def d1(self, rho: float) -> float:
-        lo, hi = self._window(rho)
-        v = 0.0
-        for r_j, dv in self.jumps[lo:hi]:
-            v += dv * _bump((rho - r_j) / self.eta) / self.eta
-        return v
-
-    def d2(self, rho: float) -> float:
-        lo, hi = self._window(rho)
-        v = 0.0
-        for r_j, dv in self.jumps[lo:hi]:
-            v += dv * _bump_prime((rho - r_j) / self.eta) / self.eta ** 2
-        return v
+    s1 = np.zeros(rho.shape)
+    s2 = np.zeros(rho.shape)
+    values = []
+    for (base, jumps), derivs in ((sig, True), (mas, False)):
+        locs = np.array([r for r, _ in jumps], dtype=float)
+        dvs = np.array([dv for _, dv in jumps], dtype=float)
+        lo = np.searchsorted(locs, rho - eta, side="right")
+        hi = np.searchsorted(locs, rho + eta, side="left")
+        v = np.array(list(itertools.accumulate([base, *dvs.tolist()])),
+                     dtype=float)[lo]
+        for k in range(int(np.max(hi - lo, initial=0))):
+            at = lo + k < hi
+            j = lo[at] + k
+            u = (rho[at] - locs[j]) / eta
+            dv = dvs[j]
+            # math.pow, not numpy's power: see the module docstring
+            poly = (u - _map(lambda x: math.pow(x, 3), u)
+                    + 0.6 * _map(lambda x: math.pow(x, 5), u)
+                    - _map(lambda x: math.pow(x, 7), u) / 7.0 + 16.0 / 35.0)
+            v[at] += dv * np.where(u <= -1.0, 0.0, np.where(
+                u >= 1.0, 1.0, (35.0 / 32.0) * poly))
+            if derivs:
+                inside = np.abs(u) < 1.0
+                t = 1.0 - u * u
+                s1[at] += dv * np.where(inside, (35.0 / 32.0) * t * t * t,
+                                        0.0) / eta
+                s2[at] += dv * np.where(
+                    inside, (35.0 / 32.0) * (-6.0 * u) * t * t, 0.0) / eta ** 2
+        values.append(v)
+    s, a = values
+    return s, s1, s2, a
 
 
 def _smoothing_setup(layers: LayeredMedium, eta, grid_step):
@@ -402,11 +383,9 @@ def _smoothing_setup(layers: LayeredMedium, eta, grid_step):
             sig_jumps.append((left.r_out, right.sigma - left.sigma))
         if right.a != left.a:
             mas_jumps.append((left.r_out, right.a - left.a))
-    sig = _SmoothedProfile(layers.shells[0].sigma, sig_jumps, eta)
-    mas = _SmoothedProfile(layers.shells[0].a, mas_jumps, eta)
     # union of smoothing windows, clipped to the domain
     windows: list[list[float]] = []
-    for r_j in sorted({j for j, _ in sig.jumps} | {j for j, _ in mas.jumps}):
+    for r_j in sorted({j for j, _ in sig_jumps} | {j for j, _ in mas_jumps}):
         lo, hi = max(r_j - eta, 0.0), min(r_j + eta, R_OUTER)
         if windows and lo <= windows[-1][1] + _EDGE_TOL:
             windows[-1][1] = max(windows[-1][1], hi)
@@ -426,7 +405,8 @@ def _smoothing_setup(layers: LayeredMedium, eta, grid_step):
     if pos < R_OUTER - _EDGE_TOL:
         edges.append(R_OUTER)
     edges[-1] = R_OUTER
-    return sig, mas, edges
+    base = layers.shells[0]
+    return (base.sigma, sig_jumps), (base.a, mas_jumps), eta, edges
 
 
 def mollify_medium(layers: LayeredMedium, eta: Optional[float] = None,
@@ -436,12 +416,11 @@ def mollify_medium(layers: LayeredMedium, eta: Optional[float] = None,
     Gauge-companion of `gauge_potential(..., mode="mollified")`: both use the
     same smoothing and the same grid.
     """
-    sig, mas, edges = _smoothing_setup(layers, eta, grid_step)
-    shells = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        shells.append(Shell(lo, hi, sig.value(mid), mas.value(mid)))
-    return LayeredMedium(tuple(shells))
+    sig, mas, eta, edges = _smoothing_setup(layers, eta, grid_step)
+    e = np.array(edges)
+    s, _, _, a = _smoothed_profile(sig, mas, eta, 0.5 * (e[:-1] + e[1:]))
+    return LayeredMedium(tuple(map(Shell, edges, edges[1:], s.tolist(),
+                                   a.tolist())))
 
 
 _G4_NODES = (-0.8611363115940526, -0.3399810435848563,
@@ -480,31 +459,33 @@ def gauge_potential(layers: LayeredMedium, E: float,
     if mode != "mollified":
         raise DomainError(f"unknown gauge mode {mode!r}")
 
-    sig, mas, edges = _smoothing_setup(layers, eta, grid_step)
-
-    def v_of(rho: float) -> float:
-        s = sig.value(rho)
-        if s <= 0.0:
-            raise DomainError(f"smoothed sigma nonpositive at rho = {rho}")
-        d1 = sig.d1(rho)
-        d2 = sig.d2(rho)
-        return (d2 / (2.0 * s) - d1 * d1 / (4.0 * s * s) + d1 / (rho * s)
-                + E * (1.0 - mas.value(rho) / s))
-
+    sig, mas, eta, edges = _smoothing_setup(layers, eta, grid_step)
+    e = np.array(edges)
+    lo, hi = e[:-1], e[1:]
+    c = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    step = hi - lo
+    # the 4 Gauss nodes of every step, ascending: row i is step i
+    rho = (c[:, None] + half[:, None] * np.array(_G4_NODES)).ravel()
+    s, d1, d2, m = _smoothed_profile(sig, mas, eta, rho)
+    bad = np.flatnonzero(s <= 0.0)
+    if bad.size:
+        raise DomainError(
+            f"smoothed sigma nonpositive at rho = {float(rho[bad[0]])}")
+    v = (d2 / (2.0 * s) - d1 * d1 / (4.0 * s * s) + d1 / (rho * s)
+         + E * (1.0 - m / s)).reshape(-1, 4)
+    i0 = i1 = 0.0
+    for k, (t, wt) in enumerate(zip(_G4_NODES, _G4_WEIGHTS)):
+        i0 = i0 + wt * v[:, k] * half
+        i1 = i1 + wt * v[:, k] * (half * t) * half
+    del rho, s, d1, d2, m, v  # free the node arrays before the shells exist
+    v_in = i0 / step - 4.0 * i1 / (step * step)
+    v_out = i0 / step + 4.0 * i1 / (step * step)
     shells = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        step = hi - lo
-        i0 = i1 = 0.0
-        for t, wt in zip(_G4_NODES, _G4_WEIGHTS):
-            v = v_of(c + half * t)
-            i0 += wt * v * half
-            i1 += wt * v * (half * t) * half
-        v_in = i0 / step - 4.0 * i1 / (step * step)
-        v_out = i0 / step + 4.0 * i1 / (step * step)
-        shells.append(PotentialShell(lo, c, v_in))
-        shells.append(PotentialShell(c, hi, v_out))
+    for r_in, r_mid, r_out, V_in, V_out in zip(
+            edges, c.tolist(), edges[1:], v_in.tolist(), v_out.tolist()):
+        shells.append(PotentialShell(r_in, r_mid, V_in))
+        shells.append(PotentialShell(r_mid, r_out, V_out))
     # the tail segment is exactly free space; pin the stored zeros
     for idx in (-2, -1):
         tail = shells[idx]

@@ -174,7 +174,10 @@ def dn_spectrum(system: System, E: float,
 
 def free_dn_spectrum(E: float, l_max: int) -> DNSpectrum:
     """Analytic free-space channel values k j_l'(k R)/j_l(k R) at
-    R = R_OUTER."""
+    R = R_OUTER.  An E that is not finite and > 0 raises DomainError."""
+    if not 0.0 < E < math.inf:
+        raise DomainError(
+            f"free channel values need a finite E > 0, got E = {E}")
     k = math.sqrt(E)
     x = k * R_OUTER
     lam = []

@@ -69,8 +69,10 @@ def default_l_max(E: float) -> int:
     L_MARGIN.
 
     Channels above this are numerically free for media supported inside
-    the outer ball.
+    the outer ball.  A non-finite E raises DomainError.
     """
+    if not math.isfinite(E):
+        raise DomainError(f"energy must be finite, got E = {E}")
     if E <= 0.0:
         return L_MARGIN
     l_star = math.ceil((-1.0 + math.sqrt(1.0 + 16.0 * E * R_OUTER * R_OUTER))

@@ -13,11 +13,15 @@ the core-only solve replaced; and `per_sample_propagate` and
 `per_sample_solve`, the kernel march and solve that evaluated and converted
 field samples one at a time, which the array pass replaced; and
 `per_channel_phase_shifts` and `per_channel_dn_spectrum`, which solved
-every channel on its own in each call, before the outer-sphere table.
+every channel on its own in each call, before the outer-sphere table; and
+`per_node_mollify_medium` and `per_node_gauge_potential`, the scalar bump
+smoothing (`_SmoothedProfile`) and the per-node loops that the array pass
+replaced, kept verbatim.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -33,8 +37,10 @@ from qcloak._kernel_py import (CORE_ONLY, KernelResult, _EPS_ORIGIN,
                                _NORM_CEIL, _NORM_SHIFT, _R_CORE, _Local,
                                _panel, _substeps, _use_power)
 from qcloak.errors import (ConfigurationError, DomainError, GeometryError,
-                           NearEigenvalueError)
-from qcloak.media import CorePotential, RadialPotential
+                           NearEigenvalueError, ResolutionError)
+from qcloak.media import (_EDGE_TOL, _G4_NODES, _G4_WEIGHTS, R_OUTER,
+                          CorePotential, LayeredMedium, PotentialShell,
+                          RadialPotential, Shell)
 from qcloak.observables import (U_THRESHOLD, DNSpectrum, PhaseShifts,
                                 _far_field_k, _match_delta)
 from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
@@ -595,3 +601,167 @@ def per_channel_dn_spectrum(system: System, E: float,
                 f"l = {l}", l=l, E=E)
         lam.append(sol.log_derivative_end)
     return DNSpectrum(E, tuple(lam))
+
+
+# --- the former scalar mollification: one radius at a time -----------------
+
+def _bump(u: float) -> float:
+    if abs(u) >= 1.0:
+        return 0.0
+    t = 1.0 - u * u
+    return (35.0 / 32.0) * t * t * t
+
+
+def _bump_prime(u: float) -> float:
+    if abs(u) >= 1.0:
+        return 0.0
+    t = 1.0 - u * u
+    return (35.0 / 32.0) * (-6.0 * u) * t * t
+
+
+def _bump_integral(u: float) -> float:
+    if u <= -1.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    return (35.0 / 32.0) * (u - u ** 3 + 0.6 * u ** 5 - u ** 7 / 7.0
+                            + 16.0 / 35.0)
+
+
+class _SmoothedProfile:
+    """sigma (or a) of a layered medium convolved with the bump kernel.
+
+    Jumps below the kernel window enter through a prefix sum; only the one
+    or two jumps inside the window are evaluated pointwise.
+    """
+
+    def __init__(self, base: float, jumps: list[tuple[float, float]],
+                 eta: float):
+        self.base = base
+        self.jumps = jumps
+        self.eta = eta
+        self._locs = [r for r, _ in jumps]
+        self._prefix = [base]
+        for _, dv in jumps:
+            self._prefix.append(self._prefix[-1] + dv)
+
+    def _window(self, rho: float):
+        lo = bisect.bisect_right(self._locs, rho - self.eta)
+        hi = bisect.bisect_left(self._locs, rho + self.eta)
+        return lo, hi
+
+    def value(self, rho: float) -> float:
+        lo, hi = self._window(rho)
+        v = self._prefix[lo]
+        for r_j, dv in self.jumps[lo:hi]:
+            v += dv * _bump_integral((rho - r_j) / self.eta)
+        return v
+
+    def d1(self, rho: float) -> float:
+        lo, hi = self._window(rho)
+        v = 0.0
+        for r_j, dv in self.jumps[lo:hi]:
+            v += dv * _bump((rho - r_j) / self.eta) / self.eta
+        return v
+
+    def d2(self, rho: float) -> float:
+        lo, hi = self._window(rho)
+        v = 0.0
+        for r_j, dv in self.jumps[lo:hi]:
+            v += dv * _bump_prime((rho - r_j) / self.eta) / self.eta ** 2
+        return v
+
+
+def _per_node_smoothing_setup(layers: LayeredMedium, eta, grid_step):
+    if eta is None:
+        eta = layers.thinnest_width() / 10.0
+    if grid_step is None:
+        grid_step = eta / 64.0
+    if eta < grid_step:
+        raise ResolutionError(
+            f"mollifier width {eta} is below the grid step {grid_step}")
+    sig_jumps = []
+    mas_jumps = []
+    for left, right in zip(layers.shells[:-1], layers.shells[1:]):
+        if right.sigma != left.sigma:
+            sig_jumps.append((left.r_out, right.sigma - left.sigma))
+        if right.a != left.a:
+            mas_jumps.append((left.r_out, right.a - left.a))
+    sig = _SmoothedProfile(layers.shells[0].sigma, sig_jumps, eta)
+    mas = _SmoothedProfile(layers.shells[0].a, mas_jumps, eta)
+    # union of smoothing windows, clipped to the domain
+    windows: list[list[float]] = []
+    for r_j in sorted({j for j, _ in sig.jumps} | {j for j, _ in mas.jumps}):
+        lo, hi = max(r_j - eta, 0.0), min(r_j + eta, R_OUTER)
+        if windows and lo <= windows[-1][1] + _EDGE_TOL:
+            windows[-1][1] = max(windows[-1][1], hi)
+        else:
+            windows.append([lo, hi])
+    # grid: fine steps inside windows, single segments between them
+    edges = [0.0]
+    pos = 0.0
+    for lo, hi in windows:
+        if lo > pos + _EDGE_TOL:
+            edges.append(lo)
+        n_sub = max(1, math.ceil((hi - max(lo, pos)) / grid_step))
+        start = max(lo, pos)
+        for i in range(1, n_sub + 1):
+            edges.append(start + (hi - start) * i / n_sub)
+        pos = hi
+    if pos < R_OUTER - _EDGE_TOL:
+        edges.append(R_OUTER)
+    edges[-1] = R_OUTER
+    return sig, mas, edges
+
+
+def per_node_mollify_medium(layers: LayeredMedium,
+                            eta: Optional[float] = None,
+                            grid_step: Optional[float] = None
+                            ) -> LayeredMedium:
+    """The former `media.mollify_medium`: each midpoint through
+    `_SmoothedProfile`."""
+    sig, mas, edges = _per_node_smoothing_setup(layers, eta, grid_step)
+    shells = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        shells.append(Shell(lo, hi, sig.value(mid), mas.value(mid)))
+    return LayeredMedium(tuple(shells))
+
+
+def per_node_gauge_potential(layers: LayeredMedium, E: float,
+                             eta: Optional[float] = None,
+                             grid_step: Optional[float] = None
+                             ) -> RadialPotential:
+    """The former `media.gauge_potential(mode="mollified")`: each Gauss
+    node through `v_of`, one step at a time."""
+    sig, mas, edges = _per_node_smoothing_setup(layers, eta, grid_step)
+
+    def v_of(rho: float) -> float:
+        s = sig.value(rho)
+        if s <= 0.0:
+            raise DomainError(f"smoothed sigma nonpositive at rho = {rho}")
+        d1 = sig.d1(rho)
+        d2 = sig.d2(rho)
+        return (d2 / (2.0 * s) - d1 * d1 / (4.0 * s * s) + d1 / (rho * s)
+                + E * (1.0 - mas.value(rho) / s))
+
+    shells = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        step = hi - lo
+        i0 = i1 = 0.0
+        for t, wt in zip(_G4_NODES, _G4_WEIGHTS):
+            v = v_of(c + half * t)
+            i0 += wt * v * half
+            i1 += wt * v * (half * t) * half
+        v_in = i0 / step - 4.0 * i1 / (step * step)
+        v_out = i0 / step + 4.0 * i1 / (step * step)
+        shells.append(PotentialShell(lo, c, v_in))
+        shells.append(PotentialShell(c, hi, v_out))
+    # the tail segment is exactly free space; pin the stored zeros
+    for idx in (-2, -1):
+        tail = shells[idx]
+        if abs(tail.V) < 1e-12:
+            shells[idx] = PotentialShell(tail.r_in, tail.r_out, 0.0)
+    return RadialPotential(tuple(shells))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,9 +11,10 @@ from qcloak.errors import (
     ResolutionError,
     SingularRegionError,
 )
-from qcloak.media import gauge_potential, homogenize, truncate
+from qcloak.media import gauge_potential, homogenize, mollify_medium, truncate
 
-from oracles import pushforward_eigenvalues
+from oracles import (per_node_gauge_potential, per_node_mollify_medium,
+                     pushforward_eigenvalues)
 
 
 class TestForwardMap:
@@ -247,6 +249,16 @@ class TestGaugePotential:
             gauge_potential(med, 0.5, mode="mollified", eta=1e-4,
                             grid_step=1e-3)
 
+    def test_nonpositive_smoothed_sigma(self):
+        # sigma 1e-300 is lost in 1 + (1e-300 - 1): the smoothed sigma
+        # reaches 0 inside the window, and the first such node is named
+        med = qc.LayeredMedium((qc.Shell(0, 1, 1, 1),
+                                qc.Shell(1, 2, 1e-300, 1),
+                                qc.Shell(2, 3, 1, 1)))
+        with pytest.raises(DomainError, match=r"smoothed sigma nonpositive "
+                                              r"at rho = 1\.155545475362379$"):
+            gauge_potential(med, 0.5, mode="mollified")
+
     def test_attach_core(self):
         med = qc.LayeredMedium((qc.Shell(0.0, 2.0, 1.0, 1.0),
                                 qc.Shell(2.0, 3.0, 1.0, 1.0)))
@@ -254,9 +266,50 @@ class TestGaugePotential:
         W = qc.CorePotential.step(-3.0, 0.9)
         full = qc.attach_core(pot, W)
         assert full.core_W is W
-        assert full.value_at(0.5) == pytest.approx(-3.0)
-        assert full.value_at(0.95) == 0.0
+        inner, outer = (next(s for s in full.shells if s.r_in <= r < s.r_out)
+                        for r in (0.5, 0.95))
+        assert inner.V == pytest.approx(-3.0)
+        assert outer.V == 0.0
         assert full.boundaries()[1] == pytest.approx(0.9)
+
+
+def _cloak(R, n_layers, core=qc.DOUBLED_CORE, **kw):
+    return homogenize(truncate(R, *core), n_layers, **kw)
+
+
+MOLLIFIED_MEDIA = {
+    "R1.005-n50": _cloak(1.005, 50),
+    "R1.005-n50-unit-core": _cloak(1.005, 50, qc.UNIT_CORE),
+    "R1.05-n24": _cloak(1.05, 24),
+    "R1.1-n36-geometric": _cloak(1.1, 36, grading="geometric"),
+    "R1.3-n8": _cloak(1.3, 8),
+    "R2": _cloak(2.0, 2),
+    "R1.05-n24-high-first": _cloak(1.05, 24, phase_order="high-first"),
+    "free": qc.LayeredMedium((qc.Shell(0.0, 3.0, 1.0, 1.0),)),
+}
+
+
+class TestMollifiedArrayPass:
+    """mollify_medium and gauge_potential(mode="mollified") smooth every
+    radius in one array pass; each shell keeps the bits of the former
+    per-node loops."""
+
+    @staticmethod
+    def assert_same_bits(new, old):
+        assert new == old
+        # == holds for numpy scalars and -0.0 too; the pickles do not
+        assert pickle.dumps(new) == pickle.dumps(old)
+
+    @pytest.mark.parametrize("layers", MOLLIFIED_MEDIA.values(),
+                             ids=MOLLIFIED_MEDIA.keys())
+    def test_shells_match_per_node_loops(self, layers):
+        for kw in ({}, {"eta": 0.01, "grid_step": 0.002}):
+            self.assert_same_bits(mollify_medium(layers, **kw),
+                                  per_node_mollify_medium(layers, **kw))
+            for E in (0.3, 0.5, 0.9):
+                self.assert_same_bits(
+                    gauge_potential(layers, E, mode="mollified", **kw),
+                    per_node_gauge_potential(layers, E, **kw))
 
 
 class TestTypes:

@@ -96,6 +96,17 @@ class TestDNSpectrum:
         for a, b in zip(dn.lam, free.lam):
             assert a == pytest.approx(b, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan, math.inf])
+    def test_free_values_refuse_nonpropagating_energy(self, free_medium,
+                                                      bad):
+        with pytest.raises(DomainError, match="finite E > 0"):
+            qc.free_dn_spectrum(bad, 3)
+        # dn_spectrum takes a finite E <= 0, but its free reference does not
+        dn = (qc.dn_spectrum(free_medium, bad, 3) if math.isfinite(bad)
+              else qc.DNSpectrum(bad, (0.0,) * 4))
+        with pytest.raises(DomainError, match="finite E > 0"):
+            dn.max_deviation_from_free()
+
     def test_near_eigenvalue_error_names_channel(self, free_medium):
         E_star = (math.pi / 3.0) ** 2
         with pytest.raises(NearEigenvalueError) as info:

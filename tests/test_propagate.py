@@ -599,6 +599,11 @@ class TestValidation:
             with pytest.raises(DomainError, match="energy must be finite"):
                 qc.solve_channel(system, 0, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_default_l_max_refuses_nonfinite_energy(self, bad):
+        with pytest.raises(DomainError, match="energy must be finite"):
+            qc.default_l_max(bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_samples_rejected(self, free_medium, bad):
         # a NaN radius would stall the kernel's sample cursor, leaving
