@@ -11,7 +11,10 @@ the cloak shell occupies [R, 2], and everything is free space on [2, 3].
 
 The mollified gauge and `mollify_medium` smooth every radius of the grid in
 one array pass (`_smoothed_profile`), with the scalar operation order: the
-jumps in ascending radius, the Gauss moments node by node.  The powers u^3,
+jumps in ascending radius, the Gauss moments node by node.  sigma and a
+share one jump table, one row (r_j, dsigma_j, da_j) per interface where
+either jumps, so that pass takes each (radius, jump) pair's bump share
+once for both; a zero step adds an exact +-0.0.  The powers u^3,
 u^5 and u^7 of the bump's integral go through `math.pow` per element, the
 libm pow of the scalar code: numpy's `power` takes a SIMD path on some
 hosts and rounds differently there, so it would tie the bits to the host's
@@ -325,46 +328,43 @@ class RadialPotential:
 
 # --- mollification (C^2 bump of unit mass and width eta) ------------------
 
-def _smoothed_profile(sig, mas, eta: float, rho: np.ndarray):
+def _smoothed_profile(base, jumps, eta: float, rho: np.ndarray):
     """Smoothed sigma, sigma', sigma'' and a at the ascending radii rho.
 
-    `sig` and `mas` are (base, jumps): the innermost value and the
-    ascending (r_j, dv) steps of the layered sigma and a.  A jump adds its
-    full dv where r_j <= rho - eta, and dv times the bump's integral (and
-    the bump and its slope, for sigma' and sigma'') where
-    rho - eta < r_j < rho + eta.  Pass k adds every radius's k-th jump
-    inside its window, so each radius sums its jumps in ascending order.
+    `base` is the innermost (sigma, a) and `jumps` the ascending rows
+    (r_j, dsigma_j, da_j), one for each interface where sigma or a jumps.
+    A row adds its full steps where r_j <= rho - eta, and the steps times
+    the bump's integral where rho - eta < r_j < rho + eta; there dsigma
+    times the bump and its slope also enter sigma' and sigma''.  Pass k
+    adds every radius's k-th row inside its window, so each radius sums
+    its rows in ascending order; a zero step adds an exact +-0.0.
     """
+    locs, dsig, dmas = np.array(jumps, dtype=float).reshape(-1, 3).T
+    lo = np.searchsorted(locs, rho - eta, side="right")
+    hi = np.searchsorted(locs, rho + eta, side="left")
+    s, a = (np.array(list(itertools.accumulate([b, *d.tolist()])),
+                     dtype=float)[lo] for b, d in zip(base, (dsig, dmas)))
     s1 = np.zeros(rho.shape)
     s2 = np.zeros(rho.shape)
-    values = []
-    for (base, jumps), derivs in ((sig, True), (mas, False)):
-        locs = np.array([r for r, _ in jumps], dtype=float)
-        dvs = np.array([dv for _, dv in jumps], dtype=float)
-        lo = np.searchsorted(locs, rho - eta, side="right")
-        hi = np.searchsorted(locs, rho + eta, side="left")
-        v = np.array(list(itertools.accumulate([base, *dvs.tolist()])),
-                     dtype=float)[lo]
-        for k in range(int(np.max(hi - lo, initial=0))):
-            at = lo + k < hi
-            j = lo[at] + k
-            u = (rho[at] - locs[j]) / eta
-            dv = dvs[j]
-            # math.pow, not numpy's power: see the module docstring
-            poly = (u - _map(lambda x: math.pow(x, 3), u)
-                    + 0.6 * _map(lambda x: math.pow(x, 5), u)
-                    - _map(lambda x: math.pow(x, 7), u) / 7.0 + 16.0 / 35.0)
-            v[at] += dv * np.where(u <= -1.0, 0.0, np.where(
-                u >= 1.0, 1.0, (35.0 / 32.0) * poly))
-            if derivs:
-                inside = np.abs(u) < 1.0
-                t = 1.0 - u * u
-                s1[at] += dv * np.where(inside, (35.0 / 32.0) * t * t * t,
-                                        0.0) / eta
-                s2[at] += dv * np.where(
-                    inside, (35.0 / 32.0) * (-6.0 * u) * t * t, 0.0) / eta ** 2
-        values.append(v)
-    s, a = values
+    for k in range(int(np.max(hi - lo, initial=0))):
+        at = lo + k < hi
+        j = lo[at] + k
+        u = (rho[at] - locs[j]) / eta
+        ds = dsig[j]
+        # math.pow, not numpy's power: see the module docstring
+        poly = (u - _map(lambda x: math.pow(x, 3), u)
+                + 0.6 * _map(lambda x: math.pow(x, 5), u)
+                - _map(lambda x: math.pow(x, 7), u) / 7.0 + 16.0 / 35.0)
+        share = np.where(u <= -1.0, 0.0, np.where(
+            u >= 1.0, 1.0, (35.0 / 32.0) * poly))
+        s[at] += ds * share
+        a[at] += dmas[j] * share
+        inside = np.abs(u) < 1.0
+        t = 1.0 - u * u
+        s1[at] += ds * np.where(inside, (35.0 / 32.0) * t * t * t,
+                                0.0) / eta
+        s2[at] += ds * np.where(
+            inside, (35.0 / 32.0) * (-6.0 * u) * t * t, 0.0) / eta ** 2
     return s, s1, s2, a
 
 
@@ -376,16 +376,12 @@ def _smoothing_setup(layers: LayeredMedium, eta, grid_step):
     if eta < grid_step:
         raise ResolutionError(
             f"mollifier width {eta} is below the grid step {grid_step}")
-    sig_jumps = []
-    mas_jumps = []
-    for left, right in zip(layers.shells[:-1], layers.shells[1:]):
-        if right.sigma != left.sigma:
-            sig_jumps.append((left.r_out, right.sigma - left.sigma))
-        if right.a != left.a:
-            mas_jumps.append((left.r_out, right.a - left.a))
+    jumps = [(left.r_out, right.sigma - left.sigma, right.a - left.a)
+             for left, right in zip(layers.shells[:-1], layers.shells[1:])
+             if right.sigma != left.sigma or right.a != left.a]
     # union of smoothing windows, clipped to the domain
     windows: list[list[float]] = []
-    for r_j in sorted({j for j, _ in sig_jumps} | {j for j, _ in mas_jumps}):
+    for r_j, _, _ in jumps:
         lo, hi = max(r_j - eta, 0.0), min(r_j + eta, R_OUTER)
         if windows and lo <= windows[-1][1] + _EDGE_TOL:
             windows[-1][1] = max(windows[-1][1], hi)
@@ -406,7 +402,7 @@ def _smoothing_setup(layers: LayeredMedium, eta, grid_step):
         edges.append(R_OUTER)
     edges[-1] = R_OUTER
     base = layers.shells[0]
-    return (base.sigma, sig_jumps), (base.a, mas_jumps), eta, edges
+    return (base.sigma, base.a), jumps, eta, edges
 
 
 def mollify_medium(layers: LayeredMedium, eta: Optional[float] = None,
@@ -416,9 +412,9 @@ def mollify_medium(layers: LayeredMedium, eta: Optional[float] = None,
     Gauge-companion of `gauge_potential(..., mode="mollified")`: both use the
     same smoothing and the same grid.
     """
-    sig, mas, eta, edges = _smoothing_setup(layers, eta, grid_step)
+    base, jumps, eta, edges = _smoothing_setup(layers, eta, grid_step)
     e = np.array(edges)
-    s, _, _, a = _smoothed_profile(sig, mas, eta, 0.5 * (e[:-1] + e[1:]))
+    s, _, _, a = _smoothed_profile(base, jumps, eta, 0.5 * (e[:-1] + e[1:]))
     return LayeredMedium(tuple(map(Shell, edges, edges[1:], s.tolist(),
                                    a.tolist())))
 
@@ -459,7 +455,7 @@ def gauge_potential(layers: LayeredMedium, E: float,
     if mode != "mollified":
         raise DomainError(f"unknown gauge mode {mode!r}")
 
-    sig, mas, eta, edges = _smoothing_setup(layers, eta, grid_step)
+    base, jumps, eta, edges = _smoothing_setup(layers, eta, grid_step)
     e = np.array(edges)
     lo, hi = e[:-1], e[1:]
     c = 0.5 * (lo + hi)
@@ -467,7 +463,7 @@ def gauge_potential(layers: LayeredMedium, E: float,
     step = hi - lo
     # the 4 Gauss nodes of every step, ascending: row i is step i
     rho = (c[:, None] + half[:, None] * np.array(_G4_NODES)).ravel()
-    s, d1, d2, m = _smoothed_profile(sig, mas, eta, rho)
+    s, d1, d2, m = _smoothed_profile(base, jumps, eta, rho)
     bad = np.flatnonzero(s <= 0.0)
     if bad.size:
         raise DomainError(

@@ -9,7 +9,8 @@ outer-sphere table (`propagate.outer_sphere_solutions`), so a pair of calls
 at one (system, E) solves each channel once.  `dn_spectrum` refuses an
 energy whose boundary value falls below `U_THRESHOLD` in some channel,
 before it solves any higher channel.  A non-finite E raises DomainError
-and an l_max that is not an integer >= 0 raises ConfigurationError.
+and an l_max that is not an integer in [0, L_MAX_SUPPORTED] raises
+ConfigurationError.
 """
 
 from __future__ import annotations

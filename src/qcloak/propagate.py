@@ -250,7 +250,7 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         if res.p3 != 0.0:
             # samples below the kernel's start radius were evaluated there,
             # so the u = v/rho conversion must use the same radius
-            r_eps = min(1e-6, 0.5 * edges[1])
+            r_eps = min(_kernel_py._EPS_ORIGIN, 0.5 * edges[1])
             # an overflow gives inf without a warning, as float division did
             with np.errstate(over="ignore"):
                 u = (np.asarray(res.samples, dtype=float) * r_max
@@ -292,14 +292,23 @@ solve_core_channel = solve_channel
 def checked_l_max(E: float, l_max: Optional[int]) -> int:
     """`l_max`, or `default_l_max(E)` when it is None, for a request of
     channels 0..l_max at E: a non-finite E raises DomainError, an l_max
-    that is not an integer >= 0 raises ConfigurationError."""
+    that is not an integer in [0, L_MAX_SUPPORTED] raises
+    ConfigurationError."""
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got E = {E}")
     if l_max is None:
         return default_l_max(E)
-    if not isinstance(l_max, numbers.Integral) or l_max < 0:
+    return _checked_channel_cap(l_max)
+
+
+def _checked_channel_cap(l_max) -> int:
+    """`l_max`, unless it is not an integer in [0, L_MAX_SUPPORTED]: that
+    raises ConfigurationError."""
+    if (not isinstance(l_max, numbers.Integral)
+            or not 0 <= l_max <= L_MAX_SUPPORTED):
         raise ConfigurationError(
-            f"l_max must be an integer >= 0, got {l_max!r}")
+            f"l_max must be an integer in [0, {L_MAX_SUPPORTED}], "
+            f"got {l_max!r}")
     return l_max
 
 

@@ -19,7 +19,11 @@ core response that certifies a pole reads only the core mass, so its
 solves skip the norm quadrature beyond the core (`CORE_ONLY`).
 Concentrations between the `MIXED_BAND` limits classify a level as mixed;
 `resonance_scan` evaluates a pole's amplification `POLE_OFFSET` from it and
-reports poles above `AMP_THRESHOLD`.
+reports poles above `AMP_THRESHOLD`.  Before any solve, every search
+refuses a window that is not finite with lo < hi (`DomainError`), and the
+two that take `l_max` refuse one that is not an integer in
+[0, L_MAX_SUPPORTED] (`ConfigurationError`, the check of
+`propagate.checked_l_max`).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError
 from .media import R_OUTER, CorePotential
-from .propagate import CORE_ONLY, System, solve_channel
+from .propagate import CORE_ONLY, System, _checked_channel_cap, solve_channel
 from .special import spherical_bessel
 
 #: concentration band reported as "mixed" between interior and exterior
@@ -79,6 +83,16 @@ def classify(concentration: float) -> str:
     if concentration <= MIXED_BAND[0]:
         return "exterior"
     return "mixed"
+
+
+def _checked_window(window) -> tuple:
+    """(lo, hi) of a search window; DomainError unless both ends are finite
+    and lo < hi."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(
+            f"window must be a finite interval lo < hi, got {window!r}")
+    return lo, hi
 
 
 def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
@@ -161,9 +175,7 @@ def dirichlet_eigenvalues(system: System, l: int,
 
     An empty list means the window contains no level (not an error).
     """
-    lo, hi = window
-    if not hi > lo:
-        raise DomainError("window must be a nonempty interval")
+    lo, hi = _checked_window(window)
 
     def solve(E):
         return solve_channel(system, l, E, want_norms=False)
@@ -196,7 +208,7 @@ def neumann_core_eigenvalues(W: CorePotential, l: int,
     """Neumann eigenvalues of -lap + W on the unit ball: roots of
     psi_l'(1; E) for the regular solution.  The core is the whole domain,
     so every level has concentration 1."""
-    lo, hi = window
+    lo, hi = _checked_window(window)
 
     def f(E):
         return solve_channel(W, l, E, want_norms=False).neumann_value
@@ -211,9 +223,13 @@ def free_dirichlet_eigenvalues(window: tuple[float, float],
     j_l(R_OUTER*sqrt(E)) = 0.
 
     Returns (E, l) pairs within the window, used by the refusal logic.
-    Scans in k where the zeros are near-uniformly spaced.
+    Scans in k where the zeros are near-uniformly spaced.  A window with
+    hi <= 0 holds no level.
     """
-    lo, hi = window
+    lo, hi = _checked_window(window)
+    _checked_channel_cap(l_max)
+    if hi <= 0.0:
+        return []
     k_lo, k_hi = R_OUTER * math.sqrt(max(lo, 1e-12)), R_OUTER * math.sqrt(hi)
     n = max(64, int(8.0 * (k_hi - k_lo) / math.pi))
     pairs = []
@@ -233,11 +249,17 @@ def interior_trap_energies(W: Optional[CorePotential], core_sigma: float,
 
     The gauge-transformed interior operator is -lap + W at energy
     E*a_core/sigma_core, so a Neumann level nu maps to E = nu*sigma/a.
-    Returns (E, l) pairs inside the window.
+    Returns (E, l) pairs inside the window.  Core constants that are not
+    finite and > 0 raise DomainError.
     """
+    lo, hi = _checked_window(window)
+    _checked_channel_cap(l_max)
+    if not (0.0 < core_sigma < math.inf and 0.0 < core_a < math.inf):
+        raise DomainError(
+            f"core constants must be finite and > 0, got sigma = "
+            f"{core_sigma}, a = {core_a}")
     ratio = core_a / core_sigma
     Wc = W if W is not None else CorePotential(((1.0, 0.0),))
-    lo, hi = window
     pairs = []
     for l in range(l_max + 1):
         for pt in neumann_core_eigenvalues(Wc, l,
@@ -255,8 +277,11 @@ def _amplification(system: System, l: int, E: float) -> float:
 
 def fit_pole_exponent(system: System, l: int, E_pole: float,
                       offsets: Sequence[float]) -> float:
-    """Least-squares slope of log(amplification) vs log|E - E_pole|."""
+    """Least-squares slope of log(amplification) vs log|E - E_pole|.
+    Offsets that are not finite and > 0 raise DomainError."""
     los = np.asarray(list(offsets), dtype=float)
+    if not np.all((los > 0.0) & (los < math.inf)):
+        raise DomainError(f"offsets must be finite and > 0, got {offsets!r}")
     amps = [0.5 * (_amplification(system, l, E_pole + d)
                    + _amplification(system, l, E_pole - d)) for d in los]
     slope = np.polyfit(np.log(los), np.log(amps), 1)[0]
@@ -274,9 +299,9 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     certified rather than sampled by luck.  Without a pole above
     AMP_THRESHOLD the report carries the flat grid response and no pole.
     """
+    lo, hi = _checked_window(E_range)
     if n_scan < 1:
         raise DomainError(f"n_scan: need a count >= 1, got {n_scan}")
-    lo, hi = E_range
     grid = np.linspace(lo, hi, n_scan)
     amps = np.array([_amplification(system, l, E) for E in grid])
     poles = dirichlet_eigenvalues(system, l, E_range)

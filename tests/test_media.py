@@ -286,6 +286,19 @@ MOLLIFIED_MEDIA = {
     "R2": _cloak(2.0, 2),
     "R1.05-n24-high-first": _cloak(1.05, 24, phase_order="high-first"),
     "free": qc.LayeredMedium((qc.Shell(0.0, 3.0, 1.0, 1.0),)),
+    # interfaces where only a, only sigma, or each in turn jumps: the
+    # shared jump table carries a zero step there (floats: integer-valued
+    # fields pickle differently)
+    "a-only": qc.LayeredMedium((qc.Shell(0.0, 1.0, 1.0, 2.0),
+                                qc.Shell(1.0, 2.0, 1.0, 1.0),
+                                qc.Shell(2.0, 3.0, 1.0, 1.0))),
+    "sigma-only": qc.LayeredMedium((qc.Shell(0.0, 1.0, 2.0, 1.0),
+                                    qc.Shell(1.0, 2.0, 1.0, 1.0),
+                                    qc.Shell(2.0, 3.0, 1.0, 1.0))),
+    "mixed": qc.LayeredMedium((qc.Shell(0.0, 0.5, 2.0, 3.0),
+                               qc.Shell(0.5, 1.5, 2.0, 1.0),
+                               qc.Shell(1.5, 2.0, 0.5, 1.0),
+                               qc.Shell(2.0, 3.0, 1.0, 1.0))),
 }
 
 

@@ -462,7 +462,7 @@ class TestOuterSphereTable:
             with pytest.raises(DomainError, match="energy must be finite"):
                 call()
 
-    @pytest.mark.parametrize("bad", [-1, -5, 2.0, 3.5])
+    @pytest.mark.parametrize("bad", [-1, -5, 2.0, 3.5, 61])
     def test_bad_l_max_rejected(self, free_medium, bad):
         pts = np.array([[1.0, 0.5], [4.0, -0.5]])
         for call in (lambda: qc.phase_shifts(free_medium, E0, bad),

@@ -9,7 +9,7 @@ from scipy.special import spherical_jn
 
 import qcloak as qc
 from qcloak import _kernel_py, propagate, spectral
-from qcloak.errors import DomainError
+from qcloak.errors import ConfigurationError, DomainError
 from qcloak.spectral import classify
 
 import oracles
@@ -242,9 +242,24 @@ class TestResonanceScan:
         assert quiet.amplification < 10.0
         assert quiet.fitted_pole is None
 
-    def test_window_validation(self, free_medium):
-        with pytest.raises(DomainError):
-            qc.dirichlet_eigenvalues(free_medium, 0, (1.0, 1.0))
+    def test_window_validation(self, free_medium, no_solves):
+        W = qc.CorePotential.step(-71.45, 0.9)
+        searches = (
+            lambda w: qc.dirichlet_eigenvalues(free_medium, 0, w),
+            lambda w: qc.neumann_core_eigenvalues(W, 0, w),
+            lambda w: qc.free_dirichlet_eigenvalues(w, 2),
+            lambda w: qc.interior_trap_energies(W, 2.0, 8.0, w, 1),
+            lambda w: qc.resonance_scan(free_medium, 0, w),
+        )
+        for window in ((1.0, 1.0), (2.0, 1.6), (1.6, 1.6), (0.5, 0.4),
+                       (math.nan, 2.0), (1.0, math.nan), (1.0, math.inf),
+                       (-math.inf, 1.0)):
+            for search in searches:
+                with pytest.raises(DomainError, match="window"):
+                    search(window)
+        # a free-ball window with hi <= 0 holds no level
+        assert qc.free_dirichlet_eigenvalues((-2.0, -1.0), 2) == []
+        assert qc.free_dirichlet_eigenvalues((-1.0, 0.0), 2) == []
 
     @pytest.mark.parametrize("n_scan", [0, -3])
     def test_scan_count_validation(self, free_medium, n_scan):
@@ -279,6 +294,45 @@ class TestResonanceScan:
         assert len(found_mo) == 1
         assert found_mo[0].E == pytest.approx(found_im[0].E, abs=0.02)
         assert found_mo[0].concentration > 0.9
+
+
+@pytest.fixture
+def no_solves(monkeypatch):
+    """Fail any channel solve or free-ball Bessel evaluation: a refusal
+    must come before them."""
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(spectral, "solve_channel", solve)
+    monkeypatch.setattr(spectral, "spherical_bessel", solve)
+
+
+class TestArgumentChecks:
+    W = qc.CorePotential.step(-71.45, 0.9)
+
+    @pytest.mark.parametrize("l_max", [-1, 61, 2.0, None])
+    def test_channel_limit_refused_up_front(self, no_solves, l_max):
+        with pytest.raises(ConfigurationError, match="l_max"):
+            qc.free_dirichlet_eigenvalues((1.0, 2.0), l_max)
+        with pytest.raises(ConfigurationError, match="l_max"):
+            qc.interior_trap_energies(self.W, 2.0, 8.0, (0.4, 0.5), l_max)
+
+    def test_numpy_integer_channel_limit_accepted(self):
+        assert (qc.free_dirichlet_eigenvalues((1.0, 2.0), np.int64(2))
+                == qc.free_dirichlet_eigenvalues((1.0, 2.0), 2))
+
+    @pytest.mark.parametrize("sigma, a", [(0.0, 8.0), (-2.0, 8.0),
+                                          (math.nan, 8.0), (math.inf, 8.0),
+                                          (2.0, 0.0), (2.0, math.nan)])
+    def test_core_constants_refused(self, no_solves, sigma, a):
+        with pytest.raises(DomainError, match="core constants"):
+            qc.interior_trap_energies(self.W, sigma, a, (0.4, 0.5), 1)
+
+    @pytest.mark.parametrize("offsets", [[0.0, 1e-3], [-1e-3, 1e-3],
+                                         [math.nan, 1e-3], [1e-3, math.inf]])
+    def test_pole_offsets_refused(self, free_medium, no_solves, offsets):
+        with pytest.raises(DomainError, match="offsets"):
+            qc.fit_pole_exponent(free_medium, 0, 0.5, offsets)
 
 
 class TestCoreOnlyAmplification:
