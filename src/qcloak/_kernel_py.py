@@ -1,8 +1,10 @@
 """Pure-Python propagation kernel.
 
 Reference implementation of the per-channel shell marcher; `qcloak._kernel`
-is the compiled twin with identical semantics, selected at import time by
-`qcloak.propagate`.  `propagate` is the one entry, and it returns only what
+is the compiled twin with identical results, bit for bit, selected at import
+time by `qcloak.propagate`: both make the same floating-point operations in
+the same order and call the same C library functions, hypot included
+(`_norm`).  `propagate` is the one entry, and it returns only what
 the library reads: the state (v, v') at the outer boundary, the norm
 integrals, the field samples and the zero count, nothing per shell.
 
@@ -76,6 +78,26 @@ class KernelResult(NamedTuple):
     zeros: int                # sign changes of v between substep ends
 
 
+def _norm(p: float, q: float) -> float:
+    """sqrt(p^2 + q^2) by the C library's hypot, as the compiled kernel
+    computes it; `math.hypot` is CPython's own and can differ in the last
+    bit.  A finite pair whose norm overflows gives inf, as hypot does."""
+    try:
+        return abs(complex(p, q))
+    except OverflowError:
+        return math.inf
+
+
+def _riccati(kind: int, l: int, x: float) -> tuple:
+    """Riccati pair (F, F', G, G') at x: F = x j_l, G = -x y_l when
+    oscillatory (kind 1); F = x i_l e^-x, G = x k_l e^x when evanescent."""
+    if kind == 1:
+        jm, j, ym, y = _sph_jy_pair(l, x)
+        return x * j, x * jm - l * j, -x * y, -(x * ym - l * y)
+    im, i, km, kk = _sph_ik_pair_scaled(l, x)
+    return x * i, x * im - l * i, x * kk, -x * km - l * kk
+
+
 class _Local:
     """Fundamental-pair expansion of the solution on one substep."""
 
@@ -90,32 +112,17 @@ class _Local:
             self.k = 0.0
             self.A = (a * dva + l * va) / (2 * l + 1)
             self.B = ((l + 1) * va - a * dva) / (2 * l + 1)
-        elif k2 > 0.0:
-            self.kind = 1
-            k = math.sqrt(k2)
-            self.k = k
-            x = k * a
-            jm, j, ym, y = _sph_jy_pair(l, x)
-            F = x * j
-            Fp = x * jm - l * j
-            G = -x * y
-            Gp = -(x * ym - l * y)
-            # v = A*F + B*G with det = k*(F*Gp' - ...) = -k
+            return
+        self.kind = 1 if k2 > 0.0 else -1
+        self.k = k = math.sqrt(k2 if k2 > 0.0 else -k2)
+        F, Fp, G, Gp = _riccati(self.kind, l, k * a)
+        if self.kind == 1:        # Wronskian F G' - F' G = -1
             self.A = (dva * G - va * k * Gp) / k
             self.B = (va * k * Fp - F * dva) / k
         else:
-            self.kind = -1
-            kap = math.sqrt(-k2)
-            self.k = kap
-            x = kap * a
-            im, i, km, kk = _sph_ik_pair_scaled(l, x)
-            F = x * i            # e^-x (x i_l)
-            Fp = x * im - l * i
-            G = x * kk           # e^+x (x k_l)
-            Gp = -x * km - l * kk
-            det = kap * (F * Gp - Fp * G)   # = -kap*pi/2 analytically
-            self.A = (va * kap * Gp - dva * G) / det
-            self.B = (dva * F - va * kap * Fp) / det
+            det = k * (F * Gp - Fp * G)     # = -k*pi/2 analytically
+            self.A = (va * k * Gp - dva * G) / det
+            self.B = (dva * F - va * k * Fp) / det
 
     def eval(self, rho: float) -> tuple[float, float]:
         """(v, v') at rho within the substep."""
@@ -128,22 +135,12 @@ class _Local:
             dv = ((l + 1) * self.A * tp / t - l * self.B * tm / t) / self.a
             return v, dv
         x = self.k * rho
-        if self.kind == 1:
-            jm, j, ym, y = _sph_jy_pair(l, x)
-            F = x * j
-            Fp = x * jm - l * j
-            G = -x * y
-            Gp = -(x * ym - l * y)
-            return (self.A * F + self.B * G,
-                    self.k * (self.A * Fp + self.B * Gp))
-        im, i, km, kk = _sph_ik_pair_scaled(l, x)
-        d = x - self.k * self.a
-        ep = math.exp(d)
-        em = math.exp(-d)
-        F = x * i * ep
-        Fp = (x * im - l * i) * ep
-        G = x * kk * em
-        Gp = (-x * km - l * kk) * em
+        F, Fp, G, Gp = _riccati(self.kind, l, x)
+        if self.kind == -1:       # undo the scaling relative to a
+            d = x - self.k * self.a
+            ep = math.exp(d)
+            em = math.exp(-d)
+            F, Fp, G, Gp = F * ep, Fp * ep, G * em, Gp * em
         return (self.A * F + self.B * G,
                 self.k * (self.A * Fp + self.B * Gp))
 
@@ -242,7 +239,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     outer = want_norms != CORE_ONLY
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
-    h = math.hypot(r_eps, l + 1.0)
+    h = _norm(r_eps, l + 1.0)
     p, q = r_eps / h, (l + 1.0) / h
     lam = 0.0
     i_core = i_total = 0.0
@@ -260,7 +257,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
         if ish > 0 and w[ish] != w[ish - 1]:
             # v continuous; sigma*u' continuous with u = v/rho
             q = (w[ish - 1] / w[ish]) * (q - p / a) + p / a
-            m = math.hypot(p, q)
+            m = _norm(p, q)
             p /= m
             q /= m
             lam += math.log(m)
@@ -302,7 +299,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
             neg = p < 0.0
             p, q = loc.eval(sb)
             zeros += (p < 0.0) != neg
-            m = math.hypot(p, q)
+            m = _norm(p, q)
             p /= m
             q /= m
             dlam = math.log(m)

@@ -35,6 +35,7 @@ from .media import (
     truncate,
 )
 from .propagate import AcousticSystem, default_l_max
+from .special import L_MAX_SUPPORTED
 
 SCENARIO_C_INN = {
     "pass-through": -98.5,
@@ -106,9 +107,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"refusal_tol: need a finite tolerance >= 0, got "
                 f"{self.refusal_tol}")
-        if self.l_max is not None and self.l_max < 0:
+        if self.l_max is not None and not 0 <= self.l_max <= L_MAX_SUPPORTED:
             raise ConfigurationError(
-                f"l_max: need l_max >= 0, got {self.l_max}")
+                f"l_max: need 0 <= l_max <= {L_MAX_SUPPORTED}, got "
+                f"{self.l_max}")
         for name in ("n_scan", "segment_samples", "slice_samples"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(

@@ -23,7 +23,9 @@ reports poles above `AMP_THRESHOLD`.  Before any solve, every search
 refuses a window that is not finite with lo < hi (`DomainError`), and the
 two that take `l_max` refuse one that is not an integer in
 [0, L_MAX_SUPPORTED] (`ConfigurationError`, the check of
-`propagate.checked_l_max`).
+`propagate.checked_l_max`).  The Neumann search refuses fewer than two
+scan points or a tolerance that is not finite and > 0, and the pole fit
+fewer than two distinct offsets (`DomainError`).
 """
 
 from __future__ import annotations
@@ -206,9 +208,15 @@ def neumann_core_eigenvalues(W: CorePotential, l: int,
                              n_scan: int = 2000,
                              xtol: float = 1e-10) -> list[SpectralPoint]:
     """Neumann eigenvalues of -lap + W on the unit ball: roots of
-    psi_l'(1; E) for the regular solution.  The core is the whole domain,
-    so every level has concentration 1."""
+    psi_l'(1; E) for the regular solution, bracketed on an n_scan-point
+    grid and polished to xtol.  The core is the whole domain, so every
+    level has concentration 1.  An n_scan below 2 or an xtol that is not
+    finite and > 0 raises DomainError."""
     lo, hi = _checked_window(window)
+    if n_scan < 2:
+        raise DomainError(f"n_scan: need a count >= 2, got {n_scan}")
+    if not 0.0 < xtol < math.inf:
+        raise DomainError(f"xtol must be finite and > 0, got {xtol!r}")
 
     def f(E):
         return solve_channel(W, l, E, want_norms=False).neumann_value
@@ -278,10 +286,14 @@ def _amplification(system: System, l: int, E: float) -> float:
 def fit_pole_exponent(system: System, l: int, E_pole: float,
                       offsets: Sequence[float]) -> float:
     """Least-squares slope of log(amplification) vs log|E - E_pole|.
-    Offsets that are not finite and > 0 raise DomainError."""
+    Fewer than two distinct offsets, or offsets that are not finite and
+    > 0, raise DomainError."""
     los = np.asarray(list(offsets), dtype=float)
     if not np.all((los > 0.0) & (los < math.inf)):
         raise DomainError(f"offsets must be finite and > 0, got {offsets!r}")
+    if np.unique(los).size < 2:
+        raise DomainError(
+            f"offsets: a slope needs two distinct offsets, got {offsets!r}")
     amps = [0.5 * (_amplification(system, l, E_pole + d)
                    + _amplification(system, l, E_pole - d)) for d in los]
     slope = np.polyfit(np.log(los), np.log(amps), 1)[0]

@@ -51,7 +51,10 @@ def compiled_kernel(tmp_path_factory):
     name = "qcloak._kernel"
     source = Path(qc.__file__).with_name("_kernel.c")
     out = tmp_path_factory.mktemp("kernel_build")
-    dist = Distribution({"ext_modules": [Extension(name, [str(source)])]})
+    # setup.py's flags
+    flags = [] if os.name == "nt" else ["-ffp-contract=off"]
+    dist = Distribution({"ext_modules": [
+        Extension(name, [str(source)], extra_compile_args=flags)]})
     build = dist.get_command_obj("build_ext")
     build.build_lib = str(out)
     build.build_temp = str(out / "temp")

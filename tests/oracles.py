@@ -35,7 +35,7 @@ from scipy.special import spherical_in, spherical_jn, spherical_yn
 from qcloak import _kernel_py
 from qcloak._kernel_py import (CORE_ONLY, KernelResult, _EPS_ORIGIN,
                                _NORM_CEIL, _NORM_SHIFT, _R_CORE, _Local,
-                               _panel, _substeps, _use_power)
+                               _norm, _panel, _substeps, _use_power)
 from qcloak.errors import (ConfigurationError, DomainError, GeometryError,
                            NearEigenvalueError, ResolutionError)
 from qcloak.media import (_EDGE_TOL, _G4_NODES, _G4_WEIGHTS, R_OUTER,
@@ -435,8 +435,10 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
 # call and rescaled it on its own, and the solve that converted the samples
 # one at a time; the array pass after the march replaced both loops.  Kept
 # verbatim except for the per-shell log-derivatives and the sample radii,
-# which neither the kernels nor `ChannelSolution` carry any more, and the
-# core radius, which is the kernels' constant `_R_CORE`.
+# which neither the kernels nor `ChannelSolution` carry any more, the
+# core radius, which is the kernels' constant `_R_CORE`, and the state
+# norm, which is the kernel's `_norm` (the C library's hypot): this march
+# is a reference for the sample pass, not for the norm.
 
 def per_sample_propagate(l: int, r: Sequence[float],
                          k2: Sequence[float], w: Sequence[float],
@@ -450,7 +452,7 @@ def per_sample_propagate(l: int, r: Sequence[float],
     outer = want_norms != CORE_ONLY
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
-    h = math.hypot(r_eps, l + 1.0)
+    h = _norm(r_eps, l + 1.0)
     p, q = r_eps / h, (l + 1.0) / h
     lam = 0.0
     i_core = i_total = 0.0
@@ -468,7 +470,7 @@ def per_sample_propagate(l: int, r: Sequence[float],
         if ish > 0 and w[ish] != w[ish - 1]:
             # v continuous; sigma*u' continuous with u = v/rho
             q = (w[ish - 1] / w[ish]) * (q - p / a) + p / a
-            m = math.hypot(p, q)
+            m = _norm(p, q)
             p /= m
             q /= m
             lam += math.log(m)
@@ -507,7 +509,7 @@ def per_sample_propagate(l: int, r: Sequence[float],
             neg = p < 0.0
             p, q = loc.eval(sb)
             zeros += (p < 0.0) != neg
-            m = math.hypot(p, q)
+            m = _norm(p, q)
             p /= m
             q /= m
             dlam = math.log(m)

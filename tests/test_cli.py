@@ -8,6 +8,7 @@ import pytest
 import qcloak as qc
 from qcloak import cli
 from qcloak.errors import ConfigurationError, EigenvalueProximityRefusal
+from qcloak.special import L_MAX_SUPPORTED
 
 
 FAST = dict(R=1.05, n_layers=12, l_max=8, segment_samples=40,
@@ -73,6 +74,7 @@ class TestConfig:
         (["--n-scan", "0"], "n_scan:"),
         (["--segment-samples", "-5"], "segment_samples:"),
         (["--slice-samples", "0"], "slice_samples:"),
+        (["--l-max", "61"], "l_max:"),
     ])
     def test_malformed_values_exit_3(self, tmp_path, capsys, args, named):
         if args[0] == "--config":   # the file holds the given text
@@ -82,6 +84,18 @@ class TestConfig:
         rc = cli.main(["synthesize", *args, "--out", str(tmp_path / "o")])
         assert rc == 3
         assert capsys.readouterr().err.startswith(f"error: {named}")
+
+    def test_l_max_above_the_supported_cap_writes_nothing(self, tmp_path,
+                                                          capsys):
+        # refused when the config is built, not at the first solve
+        with pytest.raises(ConfigurationError, match="l_max:"):
+            cli.ExperimentConfig(l_max=L_MAX_SUPPORTED + 1)
+        assert cli.ExperimentConfig(l_max=L_MAX_SUPPORTED).l_max == 60
+        rc = cli.main(["phase-shifts", "--l-max", "61",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: l_max:")
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_list_flags_exit_3(self, tmp_path, capsys):
         rc = cli.main(["resonance-scan", "--channels", "0,one",

@@ -329,10 +329,23 @@ class TestArgumentChecks:
             qc.interior_trap_energies(self.W, sigma, a, (0.4, 0.5), 1)
 
     @pytest.mark.parametrize("offsets", [[0.0, 1e-3], [-1e-3, 1e-3],
-                                         [math.nan, 1e-3], [1e-3, math.inf]])
+                                         [math.nan, 1e-3], [1e-3, math.inf],
+                                         [], [1e-3], [1e-3, 1e-3]])
     def test_pole_offsets_refused(self, free_medium, no_solves, offsets):
         with pytest.raises(DomainError, match="offsets"):
             qc.fit_pole_exponent(free_medium, 0, 0.5, offsets)
+
+    @pytest.mark.parametrize("n_scan", [0, 1, -3])
+    def test_neumann_scan_count_refused(self, no_solves, n_scan):
+        # one scan point brackets nothing
+        with pytest.raises(DomainError, match="n_scan"):
+            qc.neumann_core_eigenvalues(self.W, 0, (20.0, 21.0),
+                                        n_scan=n_scan)
+
+    @pytest.mark.parametrize("xtol", [0.0, -1e-10, math.nan, math.inf])
+    def test_neumann_tolerance_refused(self, no_solves, xtol):
+        with pytest.raises(DomainError, match="xtol"):
+            qc.neumann_core_eigenvalues(self.W, 0, (20.0, 21.0), xtol=xtol)
 
 
 class TestCoreOnlyAmplification:
