@@ -113,10 +113,10 @@ class _Local:
             self.A = (a * dva + l * va) / (2 * l + 1)
             self.B = ((l + 1) * va - a * dva) / (2 * l + 1)
             return
-        self.kind = 1 if k2 > 0.0 else -1
-        self.k = k = math.sqrt(k2 if k2 > 0.0 else -k2)
-        F, Fp, G, Gp = _riccati(self.kind, l, k * a)
-        if self.kind == 1:        # Wronskian F G' - F' G = -1
+        self.kind = kind = 1 if k2 > 0.0 else -1
+        self.k = k = math.sqrt(k2 if kind == 1 else -k2)
+        F, Fp, G, Gp = _riccati(kind, l, k * a)
+        if kind == 1:             # Wronskian F G' - F' G = -1
             self.A = (dva * G - va * k * Gp) / k
             self.B = (va * k * Fp - F * dva) / k
         else:
@@ -134,22 +134,24 @@ class _Local:
             v = self.A * tp + self.B * tm
             dv = ((l + 1) * self.A * tp / t - l * self.B * tm / t) / self.a
             return v, dv
+        # `_riccati`'s pairs, written out: a call costs time in this hot path
         x = self.k * rho
-        F, Fp, G, Gp = _riccati(self.kind, l, x)
-        if self.kind == -1:       # undo the scaling relative to a
+        if self.kind == 1:
+            jm, j, ym, y = _sph_jy_pair(l, x)
+            F, Fp, G, Gp = x * j, x * jm - l * j, -x * y, -(x * ym - l * y)
+        else:                     # scaled relative to a
+            im, i, km, kk = _sph_ik_pair_scaled(l, x)
             d = x - self.k * self.a
             ep = math.exp(d)
             em = math.exp(-d)
-            F, Fp, G, Gp = F * ep, Fp * ep, G * em, Gp * em
+            F, Fp = x * i * ep, (x * im - l * i) * ep
+            G, Gp = x * kk * em, (-x * km - l * kk) * em
         return (self.A * F + self.B * G,
                 self.k * (self.A * Fp + self.B * Gp))
 
-    def value(self, rho: float) -> float:
-        return self.eval(rho)[0]
-
 
 def _kind_values(kind: int, l: int, rho, k, a, A, B) -> np.ndarray:
-    """`_Local.value` of substeps of one kind at the radii rho, as arrays
+    """v of `_Local.eval` for one kind of substep at radii rho, as arrays
     with one element per sample: the same operations in the same order."""
     if kind == 0:
         t = rho / a
@@ -209,7 +211,7 @@ def _panel(loc: _Local, lo: float, hi: float) -> float:
     half = 0.5 * (hi - lo)
     acc = 0.0
     for node, wt in zip(_G8_NODES, _G8_WEIGHTS):
-        v = loc.value(mid + half * node)
+        v = loc.eval(mid + half * node)[0]
         acc += wt * v * v
     return acc * half
 

@@ -34,8 +34,7 @@ from .media import (
     homogenize,
     truncate,
 )
-from .propagate import AcousticSystem, default_l_max
-from .special import L_MAX_SUPPORTED
+from .propagate import AcousticSystem, _checked_channel_cap, default_l_max
 
 SCENARIO_C_INN = {
     "pass-through": -98.5,
@@ -107,10 +106,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"refusal_tol: need a finite tolerance >= 0, got "
                 f"{self.refusal_tol}")
-        if self.l_max is not None and not 0 <= self.l_max <= L_MAX_SUPPORTED:
-            raise ConfigurationError(
-                f"l_max: need 0 <= l_max <= {L_MAX_SUPPORTED}, got "
-                f"{self.l_max}")
+        if self.l_max is not None:
+            try:
+                _checked_channel_cap(self.l_max)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"l_max: {exc}") from None
         for name in ("n_scan", "segment_samples", "slice_samples"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(

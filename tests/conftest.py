@@ -46,15 +46,19 @@ def compiled_kernel(tmp_path_factory):
     cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(shlex.split(cc)[0]) is None:
         pytest.skip(f"no C compiler ({cc})")
-    from setuptools import Distribution, Extension
+    from distutils.core import run_setup   # setuptools' copy
 
-    name = "qcloak._kernel"
-    source = Path(qc.__file__).with_name("_kernel.c")
+    from setuptools import Distribution
+
+    # the extension as setup.py declares it (flags included), but built
+    # from the package's source and required to compile
+    (ext,) = run_setup(str(Path(__file__).parent.parent / "setup.py"),
+                       stop_after="init").ext_modules
+    ext.sources = [str(Path(qc.__file__).with_name("_kernel.c"))]
+    ext.optional = False
+    name = ext.name
     out = tmp_path_factory.mktemp("kernel_build")
-    # setup.py's flags
-    flags = [] if os.name == "nt" else ["-ffp-contract=off"]
-    dist = Distribution({"ext_modules": [
-        Extension(name, [str(source)], extra_compile_args=flags)]})
+    dist = Distribution({"ext_modules": [ext]})
     build = dist.get_command_obj("build_ext")
     build.build_lib = str(out)
     build.build_temp = str(out / "temp")

@@ -431,7 +431,7 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
 
 
 # --- former per-sample evaluation -------------------------------------------
-# The kernel march as it evaluated each sample by its own `_Local.value`
+# The kernel march as it evaluated each sample by its own `_Local.eval`
 # call and rescaled it on its own, and the solve that converted the samples
 # one at a time; the array pass after the march replaced both loops.  Kept
 # verbatim except for the per-shell log-derivatives and the sample radii,
@@ -503,7 +503,7 @@ def per_sample_propagate(l: int, r: Sequence[float],
                 i_core += add_core * scale
                 i_total += add_total * scale
             while si < n_samp and sample_r[si] <= sb + 1e-15:
-                samples[si] = loc.value(max(sample_r[si], r_eps))
+                samples[si] = loc.eval(max(sample_r[si], r_eps))[0]
                 samp_lam[si] = lam
                 si += 1
             neg = p < 0.0

@@ -88,8 +88,9 @@ class TestConfig:
     def test_l_max_above_the_supported_cap_writes_nothing(self, tmp_path,
                                                           capsys):
         # refused when the config is built, not at the first solve
-        with pytest.raises(ConfigurationError, match="l_max:"):
-            cli.ExperimentConfig(l_max=L_MAX_SUPPORTED + 1)
+        for bad in (L_MAX_SUPPORTED + 1, 2.5):
+            with pytest.raises(ConfigurationError, match="l_max:"):
+                cli.ExperimentConfig(l_max=bad)
         assert cli.ExperimentConfig(l_max=L_MAX_SUPPORTED).l_max == 60
         rc = cli.main(["phase-shifts", "--l-max", "61",
                        "--out", str(tmp_path / "o")])
