@@ -11,6 +11,11 @@ energy whose boundary value falls below `U_THRESHOLD` in some channel,
 before it solves any higher channel.  A non-finite E raises DomainError
 and an l_max that is not an integer in [0, L_MAX_SUPPORTED] raises
 ConfigurationError.
+
+Every Bessel value is qcloak's own (`special`): the pair that matches a
+phase shift at k*R_OUTER also scales a sampled field's interior, and the
+free field beyond R_OUTER takes j_l and y_l of all orders in one pass
+(`special._sph_jy_orders_array`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from .errors import DomainError, NearEigenvalueError
 from .media import R_OUTER
@@ -32,7 +36,7 @@ from .propagate import (
     outer_sphere_solutions,
     solve_channel,
 )
-from .special import spherical_bessel
+from .special import _sph_jy_orders_array, spherical_bessel
 
 #: |u(R_OUTER)| below which `dn_spectrum` treats E as a Dirichlet eigenvalue
 U_THRESHOLD = 1e-10
@@ -79,16 +83,17 @@ def _far_field_k(E: float) -> float:
     return math.sqrt(E)
 
 
-def _match_delta(sol: ChannelSolution, k: float) -> float:
-    """delta_l of one solved channel: tan(delta) = (k j' - g j)/(k y' - g y)
-    at x = k*R_OUTER, with g the solution's log-derivative there."""
+def _match_delta(sol: ChannelSolution, k: float) -> tuple:
+    """(delta_l, s) of one solved channel: tan(delta) = (k j' - g j)/
+    (k y' - g y) at x = k*R_OUTER, with g the solution's log-derivative
+    there and s the free pair `spherical_bessel(l, x)` it was matched to."""
     g = sol.log_derivative_end
     s = spherical_bessel(sol.l, k * R_OUTER)
     num = k * s.jp - g * s.j
     den = k * s.yp - g * s.y
     if den == 0.0:
-        return math.copysign(math.pi / 2.0, num)
-    return math.atan(num / den)
+        return math.copysign(math.pi / 2.0, num), s
+    return math.atan(num / den), s
 
 
 def phase_shifts(system: System, E: float,
@@ -100,7 +105,7 @@ def phase_shifts(system: System, E: float,
     `unwrap_phases`.  Channels come from the system's outer-sphere table.
     """
     k = _far_field_k(E)
-    deltas = tuple(_match_delta(sol, k)
+    deltas = tuple(_match_delta(sol, k)[0]
                    for sol in outer_sphere_solutions(system, E, l_max))
     return PhaseShifts(E, k, deltas)
 
@@ -188,13 +193,6 @@ def free_dn_spectrum(E: float, l_max: int) -> DNSpectrum:
     return DNSpectrum(E, tuple(lam))
 
 
-def _free_radial(l: int, delta: float, x) -> np.ndarray:
-    """Free-space channel factor e^{i delta}(cos delta j_l - sin delta y_l)
-    at x = k*r, vectorized over x."""
-    return cmath.exp(1j * delta) * (math.cos(delta) * spherical_jn(l, x)
-                                    - math.sin(delta) * spherical_yn(l, x))
-
-
 def plane_wave_field(system: System, E: float, points,
                      l_max: Optional[int] = None) -> np.ndarray:
     """Total wave for a unit incident plane wave, sampled at points.
@@ -203,10 +201,17 @@ def plane_wave_field(system: System, E: float, points,
     the incidence direction.  The channel radial factors are the regular
     solutions normalized so the far field is e^{ikz} + outgoing; points on a
     shell boundary are evaluated from the inner side.  Each channel is solved
-    once: the sampled solve also yields delta_l at R_OUTER.  A negative, NaN
-    or infinite r, or |cos theta| > 1, raises DomainError.
+    once: the sampled solve also yields delta_l at R_OUTER and the free pair
+    there that scales the interior samples.  Beyond R_OUTER the field is the
+    free continuation, from j_l and y_l of every order at once
+    (`special._sph_jy_orders_array`).  Points not shaped (n, 2), a
+    negative, NaN or infinite r, or |cos theta| > 1 raise DomainError.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DomainError(
+            f"points must be an (n, 2) array of (r, cos theta), got shape "
+            f"{pts.shape}")
     r = pts[:, 0]
     mu = pts[:, 1]
     # negated, so that NaN fails the check too
@@ -221,20 +226,21 @@ def plane_wave_field(system: System, E: float, points,
     r_in = r[inside]
     order = np.argsort(r_in)
     sample_r = r_in[order] if r_in.size else None
-    x_out = k * r[~inside]
+    j_out, y_out = _sph_jy_orders_array(l_max, k * r[~inside])
     pl = legendre_values(l_max, mu)
     psi = np.zeros(len(r), dtype=complex)
     for l in range(l_max + 1):
         sol = solve_channel(system, l, E, want_norms=False,
                             sample_r=sample_r)
-        d = _match_delta(sol, k)
+        d, s = _match_delta(sol, k)
+        # the free channel factor e^{i delta}(cos delta j_l - sin delta y_l)
+        phase, c, sn = cmath.exp(1j * d), math.cos(d), math.sin(d)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
             u = np.empty_like(r_in)
             u[order] = sol.sample_u
-            radial[inside] = u * _free_radial(l, d, k * sol.r_max)
-        # free-space continuation beyond the outer ball
-        radial[~inside] = _free_radial(l, d, x_out)
+            radial[inside] = u * (phase * (c * s.j - sn * s.y))
+        radial[~inside] = phase * (c * j_out[l] - sn * y_out[l])
         psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
     return psi
 

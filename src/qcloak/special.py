@@ -13,6 +13,8 @@ kernels take the pairs from `_sph_jy_pair` and `_sph_ik_pair_scaled`.
 Their array twins `_sph_jy_pair_array` and `_sph_ik_pair_scaled_array`
 evaluate one order at many arguments with the same operations in the same
 order on every element, so each result equals the scalar one bit for bit.
+`_sph_jy_orders_array` gives every order up to l_max at many arguments,
+for the free field beyond the outer sphere.
 """
 
 from __future__ import annotations
@@ -220,6 +222,48 @@ def _sph_jy_pair_array(l: int, x: np.ndarray):
             scale = j0[down] / f0
             jm[down], j[down] = fm1 * scale, fl * scale
     return jm, j, ym, y
+
+
+def _sph_jy_orders_array(l_max: int, x: np.ndarray):
+    """(j, y): j_l and y_l for every l = 0..l_max at a float array x > 0,
+    each of shape (l_max + 1, x.size).  y recurs upward from y_0, y_1 and
+    j upward where x >= l_max + 1, as in `_sph_jy_pair`.  Below, j recurs
+    downward, the stable direction for the minimal solution, from the
+    unnormalised top pair of the Miller recurrence that `_sph_jy_pair`
+    runs, and is normalised by the Wronskian j_1 y_0 - j_0 y_1 = 1/x^2.
+    The pair's own normalisation by j_0 is not taken: it loses digits near
+    the zeros of sin x and divides by zero on some (for l = 13, x = 2 pi),
+    while the Wronskian never vanishes."""
+    sx = _map(math.sin, x)
+    cx = _map(math.cos, x)
+    j = np.empty((l_max + 1, x.size))
+    y = np.empty_like(j)
+    with np.errstate(all="ignore"):
+        j[0] = sx / x
+        y[0] = -cx / x
+        if l_max == 0:
+            return j, y
+        j[1] = sx / (x * x) - cx / x
+        y[1] = -cx / (x * x) - sx / x
+        for n in range(1, l_max):
+            y[n + 1] = (2 * n + 1) / x * y[n] - y[n - 1]
+        up = x >= l_max + 1
+        if up.any():
+            xu, ju = x[up], j[:, up]
+            for n in range(1, l_max):
+                ju[n + 1] = (2 * n + 1) / xu * ju[n] - ju[n - 1]
+            j[:, up] = ju
+        down = ~up
+        if down.any():
+            xd, jd = x[down], j[:, down]
+            n_start = l_max + 18 + int(2.0 * math.sqrt(l_max))
+            jd[l_max - 1], jd[l_max], _ = _miller_array(l_max, xd, n_start,
+                                                        True)
+            for n in range(l_max - 1, 0, -1):
+                jd[n - 1] = (2 * n + 1) / xd * jd[n] - jd[n + 1]
+            jd *= 1.0 / (xd * xd * (jd[1] * y[0, down] - jd[0] * y[1, down]))
+            j[:, down] = jd
+    return j, y
 
 
 def _sph_ik_pair_scaled_array(l: int, x: np.ndarray):

@@ -11,32 +11,37 @@ Dirichlet levels are located by their Sturm count: the march's
 `ChannelSolution.zeros` is the number of levels below E (oscillation
 theorem), so bisecting the count between the window ends gives one bracket
 per level whatever their spacing, and `brentq` polishes each to
-`LEVEL_XTOL`.  The Neumann-core and free-ball searches are one `_roots`
-call each: sign-change brackets from a scan, each polished by `brentq`.
-Every bracket carries the function values its search already computed at
-its ends, so `brentq` solves neither end again (`_polish`).  The driven
-core response that certifies a pole reads only the core mass, so its
-solves skip the norm quadrature beyond the core (`CORE_ONLY`).
+`LEVEL_XTOL`.  `brentq` is Brent's method, step for step scipy's C
+routine at its default tolerances, so the roots are scipy's to the bit
+without scipy at run time.  The Neumann-core and free-ball searches are
+one `_roots` call each: sign-change brackets from a scan, each polished
+by `brentq`; a scan end warns only when `_level_at_end` finds a level
+there.  Every bracket carries the function values its search already
+computed at its ends, so `brentq` solves neither end again (`_polish`).
+The driven core response that certifies a pole reads only the core mass,
+so its solves skip the norm quadrature beyond the core (`CORE_ONLY`).
 Concentrations between the `MIXED_BAND` limits classify a level as mixed;
 `resonance_scan` evaluates a pole's amplification `POLE_OFFSET` from it and
 reports poles above `AMP_THRESHOLD`.  Before any solve, every search
 refuses a window that is not finite with lo < hi (`DomainError`), and the
 two that take `l_max` refuse one that is not an integer in
 [0, L_MAX_SUPPORTED] (`ConfigurationError`, the check of
-`propagate.checked_l_max`).  The Neumann search refuses fewer than two
-scan points or a tolerance that is not finite and > 0, and the pole fit
-fewer than two distinct offsets (`DomainError`).
+`propagate.checked_l_max`).  The Neumann search refuses a scan count
+that is not an integer >= 2 or a tolerance that is not finite and > 0,
+`resonance_scan` a scan count that is not an integer >= 1, and the pole
+fit fewer than two distinct offsets (`DomainError`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError
 from .media import R_OUTER, CorePotential
@@ -53,6 +58,9 @@ AMP_THRESHOLD = 100.0
 LEVEL_XTOL = 1e-12
 #: |v(3)| of the unit end state below which a window end warns as a level
 ENDPOINT_TOL = 1e-9
+#: relative tolerance and step limit of `brentq`, scipy's defaults
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -97,14 +105,101 @@ def _checked_window(window) -> tuple:
     return lo, hi
 
 
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step scipy's
+    C `brentq` at its defaults rtol = BRENT_RTOL, maxiter = BRENT_MAXITER,
+    so it returns scipy's root to the bit.  As scipy's wrapper does, it
+    takes a, b, xtol and every value of f as floats and raises ValueError
+    for a NaN value.  ValueError too when f(a) and f(b) have the same sign,
+    RuntimeError when BRENT_MAXITER steps do not converge."""
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:.6g} is NaN")
+        return fx
+
+    xpre, xcur, xtol = float(a), float(b), float(xtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C divides to an inf or a NaN, which the test below refuses
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after {BRENT_MAXITER} "
+                       f"iterations, value is {xcur}")
+
+
+def _checked_count(n_scan, least: int) -> None:
+    """DomainError unless the scan count n_scan is an integer >= least."""
+    if not isinstance(n_scan, numbers.Integral) or n_scan < least:
+        raise DomainError(
+            f"n_scan: need an integer count >= {least}, got {n_scan!r}")
+
+
+def _level_at_end(f, x, fx, toward) -> bool:
+    """Whether a level of f sits at the scan end x, given fx = f(x): the
+    secant through x and a point a millionth of min(|x|, |toward - x|)
+    inside meets zero within that distance.  A zero of high order just
+    beyond the end, as j_l's at x = 0, leaves f nearly flat there and does
+    not count."""
+    width = abs(toward - x)
+    step = 1e-6 * (min(abs(x), width) or width)
+    return abs(fx) < abs(fx - f(x + math.copysign(step, toward - x)))
+
+
 def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
     """Sign-change brackets (a, f(a), b, f(b)) of f on [lo, hi]; clustered
-    changes trigger a local 10x rescan up to `refine` levels."""
+    changes trigger a local 10x rescan up to `refine` levels.  An end whose
+    |f| is below 1e-9 of the grid's largest warns when `_level_at_end`
+    finds a level there."""
     xs = np.linspace(lo, hi, n)
     vals = np.array([f(x) for x in xs])
     scale = np.max(np.abs(vals))
-    if scale > 0.0 and (abs(vals[0]) < 1e-9 * scale
-                        or abs(vals[-1]) < 1e-9 * scale):
+    if any(abs(fx) < 1e-9 * scale and _level_at_end(f, x, fx, toward)
+           for x, fx, toward in ((xs[0], vals[0], xs[1]),
+                                 (xs[-1], vals[-1], xs[-2]))):
         warnings.warn("root sits on a scan endpoint; extend the window")
     flips = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
     brackets = []
@@ -210,11 +305,10 @@ def neumann_core_eigenvalues(W: CorePotential, l: int,
     """Neumann eigenvalues of -lap + W on the unit ball: roots of
     psi_l'(1; E) for the regular solution, bracketed on an n_scan-point
     grid and polished to xtol.  The core is the whole domain, so every
-    level has concentration 1.  An n_scan below 2 or an xtol that is not
-    finite and > 0 raises DomainError."""
+    level has concentration 1.  An n_scan that is not an integer >= 2 or
+    an xtol that is not finite and > 0 raises DomainError."""
     lo, hi = _checked_window(window)
-    if n_scan < 2:
-        raise DomainError(f"n_scan: need a count >= 2, got {n_scan}")
+    _checked_count(n_scan, 2)
     if not 0.0 < xtol < math.inf:
         raise DomainError(f"xtol must be finite and > 0, got {xtol!r}")
 
@@ -312,8 +406,7 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     AMP_THRESHOLD the report carries the flat grid response and no pole.
     """
     lo, hi = _checked_window(E_range)
-    if n_scan < 1:
-        raise DomainError(f"n_scan: need a count >= 1, got {n_scan}")
+    _checked_count(n_scan, 1)
     grid = np.linspace(lo, hi, n_scan)
     amps = np.array([_amplification(system, l, E) for E in grid])
     poles = dirichlet_eigenvalues(system, l, E_range)

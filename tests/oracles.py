@@ -583,7 +583,7 @@ def per_channel_phase_shifts(system: System, E: float,
     if l_max is None:
         l_max = default_l_max(E)
     deltas = tuple(
-        _match_delta(solve_channel(system, l, E, want_norms=False), k)
+        _match_delta(solve_channel(system, l, E, want_norms=False), k)[0]
         for l in range(l_max + 1))
     return PhaseShifts(E, k, deltas)
 

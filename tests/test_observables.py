@@ -202,10 +202,27 @@ class TestPlaneWaveField:
             qc.plane_wave_field(free_medium, E0, pts, l_max=4)
 
     def test_infinite_radius_rejected(self, free_medium):
-        # scipy's j_l and y_l vanish at x = inf, so the field would read 0
+        # |psi| is about 1 at every finite r; at r = inf the free field
+        # is undefined (math.sin raises there)
         with pytest.raises(DomainError, match="finite r"):
             qc.plane_wave_field(free_medium, E0,
                                 [[math.inf, 0.5], [1.0, 0.5]], l_max=4)
+
+
+    @pytest.mark.parametrize("pts", [[], [[1.0]], [1.0, 0.5],
+                                     [[1.0, 0.5, 0.2]], [[[1.0, 0.5]]]])
+    def test_points_not_shaped_n_by_2_rejected(self, free_medium,
+                                               monkeypatch, pts):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the points were checked")
+
+        monkeypatch.setattr(observables, "solve_channel", solve)
+        with pytest.raises(DomainError, match=r"\(n, 2\)"):
+            qc.plane_wave_field(free_medium, E0, pts, l_max=4)
+
+    def test_no_points_give_an_empty_field(self, free_medium):
+        psi = qc.plane_wave_field(free_medium, E0, np.empty((0, 2)), l_max=4)
+        assert psi.shape == (0,) and psi.dtype == complex
 
 
 class TestRadialModeEdgeCases:
@@ -491,8 +508,9 @@ class TestPlaneWaveFieldSolvesOnce:
             return solve(system, l, E, **kw)
 
         def spy_match(sol, k):
-            deltas.append(match(sol, k))
-            return deltas[-1]
+            delta, pair = match(sol, k)
+            deltas.append(delta)
+            return delta, pair
 
         monkeypatch.setattr(observables, "solve_channel", spy_solve)
         monkeypatch.setattr(observables, "_match_delta", spy_match)

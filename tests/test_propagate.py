@@ -385,6 +385,31 @@ class TestKernelInternals:
         if ours.p3 != 0.0 and math.isfinite(ours.p3):
             assert (ours.p3 < 0.0) == (ours.zeros % 2 == 1)
 
+    def test_compiled_matches_python_on_a_seeded_sweep(self,
+                                                       compiled_kernel):
+        # 1000 seeded stacks, each under the three norm modes: a one-ulp
+        # fork between the kernels, such as a twin that renormalises with
+        # math.hypot (about 1 call in 100 differs), shows in many of them
+        rng = np.random.default_rng(1913)
+        calls = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 11))
+            r = np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.6, n))])
+            kind = rng.integers(0, 3, n)
+            k2 = np.where(kind == 0, rng.uniform(-80.0, -1e-3, n),
+                          np.where(kind == 1, rng.uniform(1e-3, 40.0, n),
+                                   rng.uniform(-1e-15, 1e-15, n)))
+            w = rng.choice([0.1, 0.5, 1.0, 2.0, 8.0], n)
+            sample_r = np.sort(rng.uniform(0.0, r[-1], rng.integers(0, 13)))
+            args = (int(rng.integers(0, 61)), r.tolist(), k2.tolist(),
+                    w.tolist())
+            for want_norms in (False, True, CORE_ONLY):
+                call = (*args, want_norms, sample_r.tolist())
+                assert_kernels_agree(compiled_kernel.propagate(*call),
+                                     _kernel_py.propagate(*call))
+                calls += 1
+        assert calls >= 3000
+
     @pytest.mark.parametrize("short", ["r", "w"])
     def test_short_arrays_raise_on_both_backends(self, compiled_kernel,
                                                  short):
@@ -592,6 +617,24 @@ class TestValidation:
             qc.propagate_acoustic(free_medium, -1, E0)
         with pytest.raises(ConfigurationError):
             qc.propagate_acoustic(free_medium, 99, E0)
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("l", [1.5, 2.0, "2", None])
+    def test_non_integer_channel_refused(self, free_medium, backend, request,
+                                         monkeypatch, l):
+        # the rule of `_checked_channel_cap`, before the kernel runs
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        for system in (free_medium, qc.CorePotential.step(-71.45, 0.9)):
+            with pytest.raises(ConfigurationError, match="channel l="):
+                qc.solve_channel(system, l, E0)
+
+    def test_numpy_integer_channel_accepted(self, free_medium):
+        ours = qc.solve_channel(free_medium, np.int64(3), E0)
+        theirs = qc.solve_channel(free_medium, 3, E0)
+        assert (ours.p_end, ours.q_end, ours.zeros) == (
+            theirs.p_end, theirs.q_end, theirs.zeros)
 
     def test_overflowing_channels_raise(self, free_medium, cloak_builder):
         # the regular start overflows for these channels; the march used to

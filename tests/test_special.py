@@ -8,8 +8,8 @@ from scipy.special import spherical_in, spherical_jn, spherical_kn, spherical_yn
 import qcloak as qc
 from qcloak.errors import ConfigurationError, DomainError
 from qcloak.special import (_sph_ik_pair_scaled, _sph_ik_pair_scaled_array,
-                            _sph_jy_pair, _sph_jy_pair_array,
-                            spherical_bessel)
+                            _sph_jy_orders_array, _sph_jy_pair,
+                            _sph_jy_pair_array, spherical_bessel)
 
 
 def test_j0_closed_form():
@@ -96,3 +96,21 @@ def test_array_twins_equal_the_scalar_pairs(data, l):
         st.floats(1e-7, 4000.0) | st.floats(1e-7, 1e-5)
         | st.sampled_from(branch_points(l)), min_size=1, max_size=24))
     assert_twin_bits(l, xs)
+
+
+def test_all_orders_against_scipy():
+    # every order up to l_max at once, for each l_max <= 60, to 1e-12 of
+    # sqrt(j_l^2 + y_l^2); the top pair's Miller normalisation by j_0 is
+    # ill conditioned at the zeros of sin x, which the grid includes
+    x = np.concatenate([np.linspace(0.15, 40.0, 1001),
+                        np.pi * np.arange(1.0, 13.0)])
+    ref = {l: (spherical_jn(l, x), spherical_yn(l, x))
+           for l in range(qc.special.L_MAX_SUPPORTED + 1)}
+    for l_max in range(qc.special.L_MAX_SUPPORTED + 1):
+        j, y = _sph_jy_orders_array(l_max, x)
+        assert j.shape == y.shape == (l_max + 1, x.size)
+        for l in range(l_max + 1):
+            js, ys = ref[l]
+            scale = np.hypot(js, ys)
+            assert np.max(np.abs(j[l] - js) / scale) < 1e-12, (l_max, l)
+            assert np.max(np.abs(y[l] - ys) / scale) < 1e-12, (l_max, l)

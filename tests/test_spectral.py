@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,29 @@ class TestNeumannCore:
             assert pt.concentration == sol.concentration == 1.0
 
 
+class TestFreeBallEndpoints:
+    """A scan end warns only when a level sits there."""
+
+    def test_low_energy_window_does_not_warn(self):
+        # j_l(x) -> 0 as x -> 0 for l >= 1 is no level, although its end
+        # value is far below 1e-9 of the grid's largest
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qc.free_dirichlet_eigenvalues((1e-6, 0.15), 14) == []
+            pairs = qc.free_dirichlet_eigenvalues((1e-6, 4.0), 6)
+        expected = [(oracles.free_dirichlet_root(1, l), l) for l in (0, 1, 2)]
+        assert [l for _, l in pairs] == [0, 1, 2]
+        for (E, _), (ref, _) in zip(pairs, expected):
+            assert E == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_window_ending_on_a_level_warns(self, side):
+        root = (math.pi / 3.0) ** 2
+        window = (root, 2.0) if side == "lo" else (0.5, root)
+        with pytest.warns(UserWarning, match="endpoint"):
+            qc.free_dirichlet_eigenvalues(window, 3)
+
+
 class TestClassification:
     def test_threshold_bands(self):
         assert classify(0.95) == "interior"
@@ -261,8 +285,8 @@ class TestResonanceScan:
         assert qc.free_dirichlet_eigenvalues((-2.0, -1.0), 2) == []
         assert qc.free_dirichlet_eigenvalues((-1.0, 0.0), 2) == []
 
-    @pytest.mark.parametrize("n_scan", [0, -3])
-    def test_scan_count_validation(self, free_medium, n_scan):
+    @pytest.mark.parametrize("n_scan", [0, -3, 2.5, 11.0, "11", None])
+    def test_scan_count_validation(self, free_medium, no_solves, n_scan):
         with pytest.raises(DomainError, match="n_scan"):
             qc.resonance_scan(free_medium, 0, (0.4, 0.6), n_scan=n_scan)
 
@@ -335,12 +359,32 @@ class TestArgumentChecks:
         with pytest.raises(DomainError, match="offsets"):
             qc.fit_pole_exponent(free_medium, 0, 0.5, offsets)
 
-    @pytest.mark.parametrize("n_scan", [0, 1, -3])
+    @pytest.mark.parametrize("n_scan", [0, 1, -3, 2.5, 11.0, "11", None])
     def test_neumann_scan_count_refused(self, no_solves, n_scan):
         # one scan point brackets nothing
         with pytest.raises(DomainError, match="n_scan"):
             qc.neumann_core_eigenvalues(self.W, 0, (20.0, 21.0),
                                         n_scan=n_scan)
+
+    def test_numpy_integer_scan_counts_accepted(self, free_medium):
+        for n in (11, np.int64(11)):
+            assert (qc.resonance_scan(free_medium, 0, (0.4, 0.6), n_scan=n)
+                    == qc.resonance_scan(free_medium, 0, (0.4, 0.6),
+                                         n_scan=11))
+            assert (qc.neumann_core_eigenvalues(self.W, 0, (20.0, 21.0),
+                                                n_scan=n)
+                    == qc.neumann_core_eigenvalues(self.W, 0, (20.0, 21.0),
+                                                   n_scan=11))
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("l", [1.5, 2.0, None])
+    def test_non_integer_channel_refused(self, free_medium, backend, request,
+                                         monkeypatch, l):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        with pytest.raises(ConfigurationError, match="channel l="):
+            qc.dirichlet_eigenvalues(free_medium, l, (0.5, 2.0))
 
     @pytest.mark.parametrize("xtol", [0.0, -1e-10, math.nan, math.inf])
     def test_neumann_tolerance_refused(self, no_solves, xtol):
@@ -442,6 +486,56 @@ class TestBracketEnds:
             l = next(l for E, l in pairs if E == (root / 3.0) ** 2)
             assert root == brentq(lambda x: qc.spherical_bessel(l, x).j,
                                   a, b, xtol=xtol)
+
+
+class TestBrentPort:
+    """`spectral.brentq` against scipy's `brentq` at its defaults."""
+
+    FUNCTIONS = (
+        lambda x: math.cos(x) - x,
+        lambda x: x ** 3 - 2.0 * x - 5.0,
+        lambda x: math.exp(x) - 3.0,
+        lambda x: math.tanh(20.0 * (x - 0.3)),
+        # products of these values underflow or overflow
+        lambda x: 1e-200 * (x - 0.1234),
+        lambda x: 1e250 * (x - 0.5) * abs(x - 0.5) ** 3,
+        # numpy scalars are taken as floats
+        lambda x: np.float64(x) ** 5 - 0.01,
+        lambda x: math.copysign(1.0, x - 0.7),
+        lambda x: math.sin(3.0 * x) * math.exp(-x),
+        lambda x: qc.spherical_bessel(3, x + 3.5).j,
+    )
+
+    @staticmethod
+    def outcome(brent, f, a, b, xtol):
+        try:
+            return brent(f, a, b, xtol=xtol)
+        except (ValueError, RuntimeError) as exc:
+            return type(exc).__name__
+
+    def test_matches_scipy_bit_for_bit(self):
+        # seeded brackets, some of one sign; pickles tell a float from a
+        # numpy float and 0.0 from -0.0
+        rng = np.random.default_rng(2024)
+        calls = 0
+        for f in self.FUNCTIONS:
+            for xtol in (1e-13, 1e-12, 2e-12, 1e-10, 1e-4):
+                for a, b in np.sort(rng.uniform(-3.0, 3.0, (1000, 2))):
+                    a, b = float(a), float(b)
+                    assert pickle.dumps(self.outcome(
+                        spectral.brentq, f, a, b, xtol)) == pickle.dumps(
+                        self.outcome(brentq, f, a, b, xtol)), (f, a, b, xtol)
+                    calls += 1
+        assert calls >= 50000
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="different signs"):
+            spectral.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            spectral.brentq(lambda x: math.nan if x > 0.5 else -1.0,
+                            0.0, 1.0, 1e-12)
+        # an end on a root is returned as it is
+        assert spectral.brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
 
 
 class TestConcurrency:
