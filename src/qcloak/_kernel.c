@@ -9,12 +9,19 @@
  * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
  * from the twin at import), which integrates v^2 only inside R_CORE.
  *
- * Build in place with `python setup.py build_ext --inplace`.
+ * Build in place with `python setup.py build_ext --inplace`.  setup.py
+ * defines QCLOAK_SOURCE_CRC32, the CRC-32 of this file as 8 hex digits, and
+ * the module exposes it as SOURCE_CRC32: qcloak.propagate uses the module
+ * only when it matches the _kernel.c beside it.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+
+#ifndef QCLOAK_SOURCE_CRC32
+#define QCLOAK_SOURCE_CRC32 ""      /* built without setup.py: unknown */
+#endif
 
 /* max |k| * (substep width); bounds both the e^(+-2) evanescent growth per
  * substep and the quadrature phase per panel */
@@ -38,12 +45,12 @@ static const double G8W[8] = {
 };
 
 /* Miller's downward recurrence f_{n-1} = (2n+1)/x f_n + s f_{n+1} from
- * n_start, normalised to f_0 = f0; out = (f_{l-1}, f_l).  s = -1 gives j_l,
- * s = +1 the scaled i_l. */
-static void miller(int l, double x, int n_start, double s, double f0,
-                   double *out)
+ * f_{n_start} = 1e-40, f_{n_start+1} = 0, rescaled only against overflow;
+ * out = (f_{l-1}, f_l, f_1, f_0), unnormalised.  s = -1 gives j_l, s = +1
+ * the scaled i_l. */
+static void miller(int l, double x, int n_start, double s, double *out)
 {
-    double fp = 0.0, f = 1e-40, fm, target = 0.0, target_m = 0.0, scale;
+    double fp = 0.0, f = 1e-40, fm, target = 0.0, target_m = 0.0;
     int n;
     for (n = n_start; n > 0; n--) {
         fm = (2 * n + 1) / x * f + s * fp;
@@ -57,16 +64,17 @@ static void miller(int l, double x, int n_start, double s, double f0,
             target /= RENORM; target_m /= RENORM;
         }
     }
-    scale = f0 / f;
-    out[0] = target_m * scale;
-    out[1] = target * scale;
+    out[0] = target_m;
+    out[1] = target;
+    out[2] = fp;
+    out[3] = f;
 }
 
 /* out = (j_{l-1}, j_l, y_{l-1}, y_l); j_{-1} = cos/x, y_{-1} = sin/x */
 static void jy_pair(int l, double x, double *out)
 {
     double sx = sin(x), cx = cos(x);
-    double j0 = sx / x, y0 = -cx / x, jm, j, ym, y, fm;
+    double j0 = sx / x, y0 = -cx / x, jm, j, ym, y, fm, f[4], scale;
     int n;
     if (l == 0) {
         out[0] = cx / x; out[1] = j0; out[2] = sx / x; out[3] = y0;
@@ -89,7 +97,12 @@ static void jy_pair(int l, double x, double *out)
         out[0] = jm; out[1] = j;
         return;
     }
-    miller(l, x, l + 18 + (int)(2.0 * sqrt((double)l)), -1.0, j0, out);
+    miller(l, x, l + 18 + (int)(2.0 * sqrt((double)l)), -1.0, f);
+    /* normalised by the Wronskian j_1 y_0 - j_0 y_1 = 1/x^2, written
+     * without y: special._wronskian_scale */
+    scale = 1.0 / (f[3] * (cx + x * sx) - f[2] * x * cx);
+    out[0] = f[0] * scale;
+    out[1] = f[1] * scale;
 }
 
 /* e^x k_n(x) by its terminating (all-positive) series */
@@ -125,7 +138,7 @@ static double ihat_closed(int n, double x)
 static void ik_pair_scaled(int l, double x, double *out)
 {
     double i0 = -expm1(-2.0 * x) / (2.0 * x);
-    double k0 = Py_MATH_PI / (2.0 * x), top;
+    double k0 = Py_MATH_PI / (2.0 * x), top, f[4], scale;
     if (l == 0) {
         out[0] = (1.0 + exp(-2.0 * x)) / (2.0 * x);
         out[1] = i0; out[2] = k0; out[3] = k0;
@@ -140,7 +153,10 @@ static void ik_pair_scaled(int l, double x, double *out)
     }
     /* the start order must top both l and x for the minimal solution */
     top = x > l ? x : (double)l;
-    miller(l, x, (int)top + 20 + (int)(2.0 * sqrt(top)), 1.0, i0, out);
+    miller(l, x, (int)top + 20 + (int)(2.0 * sqrt(top)), 1.0, f);
+    scale = i0 / f[3];
+    out[0] = f[0] * scale;
+    out[1] = f[1] * scale;
 }
 
 /* Riccati pair fg = (F, F', G, G') at x: F = x j_l, G = -x y_l when
@@ -471,7 +487,7 @@ static struct PyModuleDef kernel_module = {
 
 PyMODINIT_FUNC PyInit__kernel(void)
 {
-    PyObject *twin, *core_only;
+    PyObject *twin, *core_only, *module;
     if (KernelResult == NULL) {
         if ((twin = PyImport_ImportModule("qcloak._kernel_py")) == NULL)
             return NULL;
@@ -484,5 +500,9 @@ PyMODINIT_FUNC PyInit__kernel(void)
         if (KernelResult == NULL)
             return NULL;
     }
-    return PyModule_Create(&kernel_module);
+    module = PyModule_Create(&kernel_module);
+    if (module != NULL && PyModule_AddStringConstant(
+            module, "SOURCE_CRC32", QCLOAK_SOURCE_CRC32) < 0)
+        Py_CLEAR(module);
+    return module;
 }

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -88,6 +89,17 @@ class ExperimentConfig:
             if value is not None and not -math.inf < value < math.inf:
                 raise ConfigurationError(
                     f"{name}: need a finite value, got {value}")
+        for name in ("n_layers", "n_scan", "segment_samples",
+                     "slice_samples"):
+            value = getattr(self, name)
+            # a bool is no count, as `_coerce` rules for the command line
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ConfigurationError(
+                    f"{name}: need an integer count, got {value!r}")
+            if value < 1:
+                raise ConfigurationError(
+                    f"{name}: need a count >= 1, got {value}")
         if self.n_layers < 2 or self.n_layers % 2:
             raise ConfigurationError(
                 f"n_layers: need an even count >= 2, got {self.n_layers}")
@@ -111,10 +123,6 @@ class ExperimentConfig:
                 _checked_channel_cap(self.l_max)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"l_max: {exc}") from None
-        for name in ("n_scan", "segment_samples", "slice_samples"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name}: need a count >= 1, got {getattr(self, name)}")
 
     # --- builders --------------------------------------------------------
 

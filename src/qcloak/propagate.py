@@ -24,20 +24,22 @@ table.
 
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
-importable, else the pure-Python twin `qcloak._kernel_py`; set
-QCLOAK_PURE_PYTHON=1 to force the fallback.  Both expose the same one
-entry, `propagate(l, r, k2, w, want_norms=True, sample_r=None)`, and are
-interchangeable; the twin is also the reference the compiled kernel is
-tested against.  A solve keeps the boundary state at r_max and nothing per
+importable and was built from the `_kernel.c` beside it (`_current_build`),
+else the pure-Python twin `qcloak._kernel_py`; set QCLOAK_PURE_PYTHON=1 to
+force the fallback.  Both expose the same one entry, `propagate(l, r, k2,
+w, want_norms=True, sample_r=None)`, and are interchangeable; the twin is
+also the reference the compiled kernel is tested against.  A solve keeps the boundary state at r_max and nothing per
 shell: phase shifts and DN values are matched at `media.R_OUTER`, where
 every system is free.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 import numbers
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -48,6 +50,31 @@ from .errors import ConfigurationError, DomainError
 from .media import R_OUTER, CorePotential, LayeredMedium, RadialPotential
 from .special import L_MAX_SUPPORTED
 
+#: the C source the compiled kernel must have been built from
+_KERNEL_SOURCE = os.path.join(os.path.dirname(__file__), "_kernel.c")
+
+
+def _current_build(kernel):
+    """kernel, a compiled kernel module, when its SOURCE_CRC32 is the
+    CRC-32 of `_KERNEL_SOURCE` (as setup.py writes it) or that file is
+    absent (an installed package); else the pure-Python twin, with a
+    warning: a build left over from an older source may fail or, worse,
+    give that source's numbers.  CRC-32 rather than a cryptographic hash:
+    an edit goes unnoticed only at odds of 2^-32, and importing hashlib
+    (OpenSSL) would add some 3.5 MB to every process."""
+    try:
+        with open(_KERNEL_SOURCE, "rb") as fh:
+            digest = "%08x" % binascii.crc32(fh.read())
+    except FileNotFoundError:
+        return kernel
+    if getattr(kernel, "SOURCE_CRC32", None) == digest:
+        return kernel
+    warnings.warn(f"{kernel.__name__} was not built from {_KERNEL_SOURCE}; "
+                  f"using the pure-Python kernel.  Rebuild it with "
+                  f"`python setup.py build_ext --inplace`.", RuntimeWarning)
+    return _kernel_py
+
+
 if os.environ.get("QCLOAK_PURE_PYTHON"):
     _impl = _kernel_py
 else:
@@ -55,6 +82,8 @@ else:
         from . import _kernel as _impl  # type: ignore[attr-defined]
     except ImportError:
         _impl = _kernel_py
+    else:
+        _impl = _current_build(_impl)
 
 KERNEL_BACKEND = "compiled" if _impl is not _kernel_py else "python"
 #: `want_norms` value for a solve that reads only `log_norm_core`

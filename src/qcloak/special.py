@@ -6,15 +6,19 @@ All channel propagation reduces to evaluating the fundamental radial pairs
     evanescent    (k^2 < 0):  i_l(x)e^-x, k_l(x)e^+x  with x = kappa*rho
 
 The scaled evanescent pair keeps every intermediate bounded; exponents are
-tracked separately by the propagation kernels.  j_l uses downward (Miller)
-recurrence below the turning point x < l where upward recurrence cancels.
+tracked separately by the propagation kernels.  Below its turning point,
+x < l + 1, where upward recurrence cancels, j_l comes from Miller's
+downward recurrence, normalised by the Wronskian j_1 y_0 - j_0 y_1 = 1/x^2
+(`_wronskian_scale`), which never vanishes; the scaled i_l from the same
+recurrence is normalised by i_0.  The compiled kernel repeats both.
 `spherical_bessel` returns the oscillatory pair and its derivatives; the
 kernels take the pairs from `_sph_jy_pair` and `_sph_ik_pair_scaled`.
 Their array twins `_sph_jy_pair_array` and `_sph_ik_pair_scaled_array`
 evaluate one order at many arguments with the same operations in the same
 order on every element, so each result equals the scalar one bit for bit.
 `_sph_jy_orders_array` gives every order up to l_max at many arguments,
-for the free field beyond the outer sphere.
+for the free field beyond the outer sphere, recurring downward from the
+top pair of `_sph_jy_pair_array`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# Highest order guaranteed not to overflow the y_l upward recurrence for the
-# argument ranges the solvers produce (x >= 1e-6).
+# Highest order the solvers accept.  It does not guarantee a finite solve:
+# the kernels expand their first substep from r ~ 1e-6 in both members of
+# the fundamental pair, and the irregular one (x y_l or x k_l) overflows
+# there for high l.  On the free medium that raises DomainError from l = 38
+# at E = 0.05, l = 40 at E = 0.5, l = 43 at E = 5 and l = 45 at E = 40
+# (ROADMAP item 4: start the march on the regular solution).
 L_MAX_SUPPORTED = 60
 
 _RENORM = 1e250
@@ -52,7 +60,8 @@ def _sph_jy_pair(l: int, x: float) -> tuple[float, float, float, float]:
     for n in range(1, l):
         ym, y = y, (2 * n + 1) / x * y - ym
 
-    # j_l: upward when x dominates l, else downward Miller normalized by j0.
+    # j_l: upward when x dominates l, else downward Miller normalized by
+    # the Wronskian.
     if x >= l + 1:
         jm, j = j0, j1
         for n in range(1, l):
@@ -75,9 +84,20 @@ def _sph_jy_pair(l: int, x: float) -> tuple[float, float, float, float]:
             fp /= _RENORM
             target /= _RENORM
             target_m /= _RENORM
-    # f now holds the unnormalized j_0 candidate
-    scale = j0 / f
+    # f, fp now hold the unnormalized j_0, j_1
+    scale = _wronskian_scale(x, sx, cx, fp, f)
     return target_m * scale, target * scale, ym, y
+
+
+def _wronskian_scale(x, sx, cx, f1, f0):
+    """c with j_n = c f_n for an unnormalized Miller pair f_1, f_0 at x,
+    given sx = sin x, cx = cos x: 1 / (x^2 (f_1 y_0 - f_0 y_1)) by the
+    Wronskian j_1 y_0 - j_0 y_1 = 1/x^2 (DLMF 10.50.1), written without y
+    so that it cannot overflow at small x and does not cancel near the
+    zeros of sin x or cos x; unlike j_0 = sin x / x, it never vanishes
+    (Gautschi, SIAM Rev. 9 (1967) 24).  Scalars or arrays alike; the C
+    kernel's `jy_pair` makes the same operations in the same order."""
+    return 1.0 / (f0 * (cx + x * sx) - f1 * x * cx)
 
 
 def _khat_closed(n: int, x: float) -> float:
@@ -161,7 +181,7 @@ def _map(f, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_array(l: int, x: np.ndarray, n_start, minus: bool):
-    """Unnormalized (f_{l-1}, f_l, f_0) of the downward recurrence
+    """Unnormalized (f_{l-1}, f_l, f_1, f_0) of the downward recurrence
     f_{n-1} = (2n+1)/x f_n - f_{n+1} (minus, j_l) or + f_{n+1} (scaled
     i_l) from f_{n_start} = 1e-40, f_{n_start+1} = 0, renormalized per
     element as the scalar loops do; n_start is an int or one start order
@@ -189,7 +209,7 @@ def _miller_array(l: int, x: np.ndarray, n_start, minus: bool):
             fp = np.where(big, fp / _RENORM, fp)
             target = np.where(big, target / _RENORM, target)
             target_m = np.where(big, target_m / _RENORM, target_m)
-    return target_m, target, f
+    return target_m, target, fp, f
 
 
 def _sph_jy_pair_array(l: int, x: np.ndarray):
@@ -218,8 +238,9 @@ def _sph_jy_pair_array(l: int, x: np.ndarray):
         down = ~up
         if down.any():
             n_start = l + 18 + int(2.0 * math.sqrt(l))
-            fm1, fl, f0 = _miller_array(l, x[down], n_start, True)
-            scale = j0[down] / f0
+            xd = x[down]
+            fm1, fl, f1, f0 = _miller_array(l, xd, n_start, True)
+            scale = _wronskian_scale(xd, sx[down], cx[down], f1, f0)
             jm[down], j[down] = fm1 * scale, fl * scale
     return jm, j, ym, y
 
@@ -228,12 +249,8 @@ def _sph_jy_orders_array(l_max: int, x: np.ndarray):
     """(j, y): j_l and y_l for every l = 0..l_max at a float array x > 0,
     each of shape (l_max + 1, x.size).  y recurs upward from y_0, y_1 and
     j upward where x >= l_max + 1, as in `_sph_jy_pair`.  Below, j recurs
-    downward, the stable direction for the minimal solution, from the
-    unnormalised top pair of the Miller recurrence that `_sph_jy_pair`
-    runs, and is normalised by the Wronskian j_1 y_0 - j_0 y_1 = 1/x^2.
-    The pair's own normalisation by j_0 is not taken: it loses digits near
-    the zeros of sin x and divides by zero on some (for l = 13, x = 2 pi),
-    while the Wronskian never vanishes."""
+    downward, the stable direction for the minimal solution, from the top
+    pair (j_{l_max-1}, j_{l_max}) of `_sph_jy_pair_array`."""
     sx = _map(math.sin, x)
     cx = _map(math.cos, x)
     j = np.empty((l_max + 1, x.size))
@@ -256,12 +273,9 @@ def _sph_jy_orders_array(l_max: int, x: np.ndarray):
         down = ~up
         if down.any():
             xd, jd = x[down], j[:, down]
-            n_start = l_max + 18 + int(2.0 * math.sqrt(l_max))
-            jd[l_max - 1], jd[l_max], _ = _miller_array(l_max, xd, n_start,
-                                                        True)
+            jd[l_max - 1], jd[l_max], _, _ = _sph_jy_pair_array(l_max, xd)
             for n in range(l_max - 1, 0, -1):
                 jd[n - 1] = (2 * n + 1) / xd * jd[n] - jd[n + 1]
-            jd *= 1.0 / (xd * xd * (jd[1] * y[0, down] - jd[0] * y[1, down]))
             j[:, down] = jd
     return j, y
 
@@ -292,7 +306,7 @@ def _sph_ik_pair_scaled_array(l: int, x: np.ndarray):
             top = np.maximum(l, xn)
             n_start = (top.astype(np.int64) + 20
                        + (2.0 * np.sqrt(top)).astype(np.int64))
-            fm1, fl, f0 = _miller_array(l, xn, n_start, False)
+            fm1, fl, _, f0 = _miller_array(l, xn, n_start, False)
             scale = i0[near] / f0
             im[near], i[near] = fm1 * scale, fl * scale
     return im, i, km, k

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DomainError
 from .media import R_OUTER, CorePotential
 from .propagate import CORE_ONLY, System, _checked_channel_cap, solve_channel
-from .special import spherical_bessel
+from .special import _sph_jy_pair
 
 #: concentration band reported as "mixed" between interior and exterior
 MIXED_BAND = (0.4, 0.6)
@@ -325,8 +325,10 @@ def free_dirichlet_eigenvalues(window: tuple[float, float],
     j_l(R_OUTER*sqrt(E)) = 0.
 
     Returns (E, l) pairs within the window, used by the refusal logic.
-    Scans in k where the zeros are near-uniformly spaced.  A window with
-    hi <= 0 holds no level.
+    Scans in k where the zeros are near-uniformly spaced, reading j_l
+    alone (`_sph_jy_pair`) at Python floats: the y_l it is computed with
+    overflows near x = 0 for high l, silently so in float arithmetic.  A
+    window with hi <= 0 holds no level.
     """
     lo, hi = _checked_window(window)
     _checked_channel_cap(l_max)
@@ -337,7 +339,7 @@ def free_dirichlet_eigenvalues(window: tuple[float, float],
     pairs = []
     for l in range(l_max + 1):
         def f(x):
-            return spherical_bessel(l, x).j
+            return _sph_jy_pair(l, float(x))[1]
 
         pairs.extend(((x0 / R_OUTER) ** 2, l)
                      for x0 in _roots(f, k_lo, k_hi, n, 1e-13))

@@ -37,6 +37,16 @@ class TestConfig:
             cli.ExperimentConfig(core_radius=1.4)
 
     @pytest.mark.parametrize("field, value", [
+        ("n_layers", 50.0), ("n_scan", 2.5), ("n_scan", True),
+        ("segment_samples", 3.5), ("slice_samples", 2.5),
+        ("slice_samples", "200")])
+    def test_counts_that_are_not_integers_refused(self, field, value):
+        # direct construction, which the command line's coercion skips
+        with pytest.raises(ConfigurationError, match=f"{field}: need an "
+                                                     f"integer count"):
+            cli.ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
         ("E", math.nan), ("E", math.inf), ("c_inn", math.nan),
         ("c_inn", -math.inf), ("grading_ratio", math.nan),
         ("eta", math.inf), ("grid_step", math.nan),

@@ -2,6 +2,8 @@ import ctypes
 import ctypes.util
 import math
 import pickle
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +306,35 @@ def shell_transfer(l: int, a: float, b: float, k2: float) -> list:
             p, q = _kernel_py._Local(l, k2, sa, p, q, power).eval(sb)
         cols.append((p, q))
     return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+
+
+class TestCompiledBuildCheck:
+    """`propagate._current_build`: a compiled kernel serves only when it
+    was built from the `_kernel.c` beside the package."""
+
+    @pytest.mark.parametrize("digest", ["0" * 8, None])
+    def test_stale_build_falls_back_to_the_twin(self, digest):
+        # None: a module built before it recorded its source
+        stale = types.ModuleType("qcloak._kernel")
+        if digest is not None:
+            stale.SOURCE_CRC32 = digest
+        with pytest.warns(RuntimeWarning,
+                          match=r"python setup\.py build_ext --inplace"):
+            assert propagate._current_build(stale) is _kernel_py
+
+    def test_current_build_serves(self, compiled_kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert propagate._current_build(compiled_kernel) \
+                is compiled_kernel
+
+    def test_module_without_its_source_serves(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(propagate, "_KERNEL_SOURCE",
+                            str(tmp_path / "_kernel.c"))
+        stale = types.ModuleType("qcloak._kernel")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert propagate._current_build(stale) is stale
 
 
 class TestKernelInternals:

@@ -26,8 +26,10 @@ def test_j1_at_one_independent_value():
 
 
 @pytest.mark.parametrize("l", [0, 1, 2, 5, 12, 25, 40])
-@pytest.mark.parametrize("x", [1e-4, 3e-2, 0.8, 2.1, 6.0, 33.0, 400.0])
+@pytest.mark.parametrize("x", [1e-4, 3e-2, 0.8, 2.1, 6.0, 2.0 * math.pi,
+                               33.0, 400.0])
 def test_accuracy_against_scipy(l, x):
+    # 2 pi is a zero of j_0 = sin x / x, which must not normalise j_l
     s = spherical_bessel(l, x)
     assert s.j == pytest.approx(spherical_jn(l, x), rel=1e-10, abs=1e-280)
     assert s.y == pytest.approx(spherical_yn(l, x), rel=1e-10)
@@ -62,9 +64,12 @@ def branch_points(l: int) -> list:
     """Arguments at and around the scalar pairs' branch points for order l:
     the renormalising Miller range (x ~ 1e-6), x = l + 1 where j_l turns
     upward, x = l(l+1) where i_l takes its closed series, and both sides of
-    each."""
+    each; and the zeros n pi (n <= 19) of j_0 = sin x / x with their
+    float neighbours, where a Miller pair normalised by j_0 would divide
+    by zero."""
     pts = [1e-7, 1e-6, 3e-6, 1e-3, 0.5, 3.0 * (l + 1), 4000.0]
-    for x in (float(l + 1), l * (l + 1.0)):
+    for x in ([float(l + 1), l * (l + 1.0)]
+              + [n * math.pi for n in range(1, 20)]):
         if x > 0.0:
             pts += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
     return pts
@@ -85,6 +90,19 @@ def assert_twin_bits(l: int, xs: list) -> None:
 @pytest.mark.parametrize("l", range(qc.special.L_MAX_SUPPORTED + 1))
 def test_array_twins_at_branch_points(l):
     assert_twin_bits(l, branch_points(l))
+    # below the turning point, x < l + 1, j_l comes from the Miller pair
+    # normalised by the Wronskian: within 1e-12 of scipy there, at the
+    # branch points and on a grid, scalar (through `spherical_bessel`)
+    # and array alike
+    xs = [x for x in branch_points(l)
+          + np.linspace(1e-3, l + 1.0, 501).tolist() if x < l + 1]
+    ref = spherical_jn(l, xs)
+    # relative error means nothing once j_l leaves the normal range
+    normal = np.abs(ref) > 1e-290
+    for j in (np.array([spherical_bessel(l, x).j for x in xs]),
+              _sph_jy_pair_array(l, np.array(xs))[1]):
+        assert np.all(np.abs(j - ref)[normal]
+                      <= 1e-12 * np.abs(ref[normal]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,8 +118,8 @@ def test_array_twins_equal_the_scalar_pairs(data, l):
 
 def test_all_orders_against_scipy():
     # every order up to l_max at once, for each l_max <= 60, to 1e-12 of
-    # sqrt(j_l^2 + y_l^2); the top pair's Miller normalisation by j_0 is
-    # ill conditioned at the zeros of sin x, which the grid includes
+    # sqrt(j_l^2 + y_l^2); the grid includes the zeros of sin x, where a
+    # normalisation of the top pair by j_0 would divide by zero
     x = np.concatenate([np.linspace(0.15, 40.0, 1001),
                         np.pi * np.arange(1.0, 13.0)])
     ref = {l: (spherical_jn(l, x), spherical_yn(l, x))

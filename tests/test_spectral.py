@@ -177,6 +177,21 @@ class TestFreeBallEndpoints:
         for (E, _), (ref, _) in zip(pairs, expected):
             assert E == pytest.approx(ref, rel=1e-12)
 
+    def test_high_channels_from_zero_energy_do_not_warn(self):
+        # the scan reads j_l alone, so the y_l that overflows near x = 0
+        # for high l raises no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = qc.free_dirichlet_eigenvalues((0.0, 5000.0), 60)
+        x = np.linspace(1e-3, 3.0 * math.sqrt(5000.0), 50_001)
+        for l in range(61):
+            x0 = 3.0 * np.sqrt([E for E, m in pairs if m == l])
+            flips = np.signbit(spherical_jn(l, x[:-1])) \
+                != np.signbit(spherical_jn(l, x[1:]))
+            assert x0.size == np.count_nonzero(flips), l
+            assert np.all(np.abs(spherical_jn(l, x0)) < 1e-12 * np.abs(
+                spherical_jn(l, x0, derivative=True)) * x0), l
+
     @pytest.mark.parametrize("side", ["lo", "hi"])
     def test_window_ending_on_a_level_warns(self, side):
         root = (math.pi / 3.0) ** 2
@@ -328,7 +343,7 @@ def no_solves(monkeypatch):
         raise AssertionError("solved before the arguments were checked")
 
     monkeypatch.setattr(spectral, "solve_channel", solve)
-    monkeypatch.setattr(spectral, "spherical_bessel", solve)
+    monkeypatch.setattr(spectral, "_sph_jy_pair", solve)
 
 
 class TestArgumentChecks:
