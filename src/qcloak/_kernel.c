@@ -8,6 +8,9 @@
  * keeps nothing per shell: the library matches at the outer boundary only.
  * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
  * from the twin at import), which integrates v^2 only inside R_CORE.
+ * The march starts on the regular solution, as the twin's does: the first
+ * substep is the regular member alone (local_regular), and the irregular
+ * term B G enters local_eval only where B != 0.
  *
  * Build in place with `python setup.py build_ext --inplace`.  setup.py
  * defines QCLOAK_SOURCE_CRC32, the CRC-32 of this file as 8 hex digits, and
@@ -28,7 +31,7 @@
 static const double PHASE_CAP = 2.0;
 static const double R_CORE = 1.0;            /* outer radius of i_core */
 static const double POWER_RATIO_CAP = 1.25;  /* max b/a per power substep */
-static const double EPS_ORIGIN = 1e-6;       /* power-law start radius */
+static const double EPS_ORIGIN = 1e-6;       /* first substep's start */
 static const double NORM_CEIL = 1e250;
 static const double NORM_SHIFT = 100.0 * 2.302585092994045684;
 static const double RENORM = 1e250;
@@ -185,21 +188,26 @@ typedef struct {
     double k, a, A, B;
 } Local;
 
+static void local_kind(Local *loc, int l, double k2, double a, int power)
+{
+    loc->l = l;
+    loc->a = a;
+    loc->kind = power ? 0 : k2 > 0.0 ? 1 : -1;
+    loc->k = power ? 0.0 : sqrt(k2 > 0.0 ? k2 : -k2);
+}
+
+/* the expansion on the substep from a that takes the state (va, dva) */
 static void local_init(Local *loc, int l, double k2, double a, double va,
                        double dva, int power)
 {
     double k, fg[4], det;
-    loc->l = l;
-    loc->a = a;
+    local_kind(loc, l, k2, a, power);
     if (power) {
-        loc->kind = 0;
-        loc->k = 0.0;
         loc->A = (a * dva + l * va) / (2 * l + 1);
         loc->B = ((l + 1) * va - a * dva) / (2 * l + 1);
         return;
     }
-    loc->kind = k2 > 0.0 ? 1 : -1;
-    k = loc->k = sqrt(k2 > 0.0 ? k2 : -k2);
+    k = loc->k;
     riccati(loc->kind, l, k * a, fg);
     if (loc->kind == 1) {       /* Wronskian F G' - F' G = -1 */
         loc->A = (dva * fg[2] - va * k * fg[3]) / k;
@@ -211,7 +219,8 @@ static void local_init(Local *loc, int l, double k2, double a, double va,
     }
 }
 
-/* (v, v') at rho within the substep */
+/* (v, v') at rho within the substep; the irregular member G, which
+ * overflows near rho = 0 for high l, enters only where B != 0 */
 static void local_eval(const Local *loc, double rho, double *v, double *dv)
 {
     int l = loc->l;
@@ -232,8 +241,22 @@ static void local_eval(const Local *loc, double rho, double *v, double *dv)
         em = exp(-d);
         fg[0] *= ep; fg[1] *= ep; fg[2] *= em; fg[3] *= em;
     }
-    *v = loc->A * fg[0] + loc->B * fg[2];
-    *dv = loc->k * (loc->A * fg[1] + loc->B * fg[3]);
+    *v = loc->A * fg[0] + (loc->B != 0.0 ? loc->B * fg[2] : 0.0);
+    *dv = loc->k * (loc->A * fg[1] + (loc->B != 0.0 ? loc->B * fg[3] : 0.0));
+}
+
+/* the march's first substep, from a: the regular member alone, B = 0,
+ * with A scaling (v, v') at end to unit length; a zero norm there (j_l
+ * underflows) gives A = inf (the twin's `end`) */
+static void local_regular(Local *loc, int l, double k2, double a,
+                          double end, int power)
+{
+    double v, dv;
+    local_kind(loc, l, k2, a, power);
+    loc->A = 1.0;
+    loc->B = 0.0;
+    local_eval(loc, end, &v, &dv);
+    loc->A = 1.0 / hypot(v, dv);
 }
 
 /* int_lo^hi v^2 by 8-point Gauss-Legendre */
@@ -281,7 +304,7 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                   double *samp_lam, March *out)
 {
     double r_eps = 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
-    double h = hypot(r_eps, l + 1.0), p = r_eps / h, q = (l + 1.0) / h;
+    double p = 0.0, q = 0.0;
     double lam = 0.0, i_core = 0.0, i_total = 0.0, i_logoff = 0.0;
     double a, b, sa, sb, m, dlam, f, add_core, add_total, scale, dv;
     Py_ssize_t ish, si = 0;
@@ -315,7 +338,11 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                 sa = a + (b - a) * isub / nsub;
                 sb = a + (b - a) * (isub + 1) / nsub;
             }
-            local_init(&loc, l, k2[ish], sa, p, q, power);
+            /* the first substep takes the regular member alone */
+            if (ish == 0 && isub == 0)
+                local_regular(&loc, l, k2[ish], sa, sb, power);
+            else
+                local_init(&loc, l, k2[ish], sa, p, q, power);
             if (want_norms) {
                 add_core = 0.0;
                 add_total = 0.0;

@@ -19,8 +19,13 @@ Substep representation: the local solution is expanded in the fundamental
 pair of the shell (Riccati-Bessel, scaled modified Riccati-Bessel, or power
 law near zero wavenumber) with coefficients solved from the entering state;
 the same expansion supplies Gauss-Legendre quadrature of |v|^2 for the norm
-accumulators.  The core mass is the part inside `_R_CORE` = 1, the unit
-ball every system's core occupies.  Norms are integrated only as far out
+accumulators.  The march starts on the regular solution: its first
+substep, from `_EPS_ORIGIN` (or half the first shell), is the regular
+member alone (B = 0), scaled to a unit state at the substep's end, so the
+irregular member, which overflows near the origin for high l, never
+enters it; the irregular term B G is added only where B != 0.  The core
+mass is the part inside `_R_CORE` = 1, the unit ball every system's core
+occupies.  Norms are integrated only as far out
 as the caller reads them: `want_norms=CORE_ONLY` skips every panel beyond
 `_R_CORE`.
 
@@ -48,7 +53,7 @@ from .special import (_map, _sph_ik_pair_scaled, _sph_ik_pair_scaled_array,
 _PHASE_CAP = 2.0
 _R_CORE = 1.0                    # outer radius of the core mass i_core
 _POWER_RATIO_CAP = 1.25          # max b/a per power-law substep
-_EPS_ORIGIN = 1e-6               # analytic power-law start radius
+_EPS_ORIGIN = 1e-6               # start radius of the first substep
 _NORM_CEIL = 1e250
 _NORM_SHIFT = 100.0 * math.log(10.0)
 #: `want_norms` value that integrates v^2 inside _R_CORE only; i_total then
@@ -104,28 +109,36 @@ class _Local:
     __slots__ = ("kind", "l", "k", "a", "A", "B")
 
     def __init__(self, l: int, k2: float, a: float, va: float, dva: float,
-                 power: bool):
+                 power: bool, end: Optional[float] = None):
+        """The expansion on the substep from a that takes the state
+        (va, dva) there.  With `end` (the march's first substep) it is the
+        regular member alone instead: B = 0, and A scales (v, v') at `end`
+        to unit length; va and dva are not read.  A zero norm at `end`
+        (j_l underflows there) gives A = inf."""
         self.l = l
         self.a = a
-        if power:
-            self.kind = 0
-            self.k = 0.0
+        self.kind = kind = 0 if power else 1 if k2 > 0.0 else -1
+        self.k = k = math.sqrt(k2 if kind == 1 else -k2) if kind else 0.0
+        if end is not None:
+            self.A, self.B = 1.0, 0.0
+            m = _norm(*self.eval(end))
+            self.A = 1.0 / m if m else math.inf
+        elif power:
             self.A = (a * dva + l * va) / (2 * l + 1)
             self.B = ((l + 1) * va - a * dva) / (2 * l + 1)
-            return
-        self.kind = kind = 1 if k2 > 0.0 else -1
-        self.k = k = math.sqrt(k2 if kind == 1 else -k2)
-        F, Fp, G, Gp = _riccati(kind, l, k * a)
-        if kind == 1:             # Wronskian F G' - F' G = -1
-            self.A = (dva * G - va * k * Gp) / k
-            self.B = (va * k * Fp - F * dva) / k
         else:
-            det = k * (F * Gp - Fp * G)     # = -k*pi/2 analytically
-            self.A = (va * k * Gp - dva * G) / det
-            self.B = (dva * F - va * k * Fp) / det
+            F, Fp, G, Gp = _riccati(kind, l, k * a)
+            if kind == 1:             # Wronskian F G' - F' G = -1
+                self.A = (dva * G - va * k * Gp) / k
+                self.B = (va * k * Fp - F * dva) / k
+            else:
+                det = k * (F * Gp - Fp * G)     # = -k*pi/2 analytically
+                self.A = (va * k * Gp - dva * G) / det
+                self.B = (dva * F - va * k * Fp) / det
 
     def eval(self, rho: float) -> tuple[float, float]:
-        """(v, v') at rho within the substep."""
+        """(v, v') at rho within the substep.  The irregular member G, which
+        overflows near rho = 0 for high l, enters only where B != 0."""
         l = self.l
         if self.kind == 0:
             t = rho / self.a
@@ -146,8 +159,9 @@ class _Local:
             em = math.exp(-d)
             F, Fp = x * i * ep, (x * im - l * i) * ep
             G, Gp = x * kk * em, (-x * km - l * kk) * em
-        return (self.A * F + self.B * G,
-                self.k * (self.A * Fp + self.B * Gp))
+        A, B = self.A, self.B
+        return (A * F + (B * G if B else 0.0),
+                self.k * (A * Fp + (B * Gp if B else 0.0)))
 
 
 def _kind_values(kind: int, l: int, rho, k, a, A, B) -> np.ndarray:
@@ -160,11 +174,19 @@ def _kind_values(kind: int, l: int, rho, k, a, A, B) -> np.ndarray:
     x = k * rho
     if kind == 1:
         _, j, _, y = _sph_jy_pair_array(l, x)
-        return A * (x * j) + B * (-x * y)
+        return A * (x * j) + _irregular(B, -x * y)
     _, i, _, kk = _sph_ik_pair_scaled_array(l, x)
     d = x - k * a
     return (A * (x * i * _map(math.exp, d))
-            + B * (x * kk * _map(math.exp, -d)))
+            + _irregular(B, x * kk * _map(math.exp, -d)))
+
+
+def _irregular(B, G) -> np.ndarray:
+    """B*G where B != 0, else 0.0, per element, as `_Local.eval` adds it."""
+    out = np.zeros_like(G)
+    nz = B != 0.0
+    out[nz] = B[nz] * G[nz]
+    return out
 
 
 def _sample_values(l: int, sample_r: Sequence[float], r_eps: float,
@@ -185,13 +207,16 @@ def _sample_values(l: int, sample_r: Sequence[float], r_eps: float,
                                for loc in locs]), counts, axis=0)
     kind = cols[:, 0]
     v = np.empty(n)
-    for kd in (1, -1, 0):
-        sel = kind == kd
-        if sel.any():
-            v[sel] = _kind_values(kd, l, rho[sel], *cols[sel, 1:].T)
-    # one rescale factor per substep, as every sample in it shares its scale
-    scale = [math.exp(min(sl - lam, 700.0)) for sl in lams]
-    out[:n] = v * np.repeat(scale, counts)
+    # silent, as the scalar expansion's float arithmetic is: a march that
+    # ends non-finite (A = inf) is refused after it
+    with np.errstate(all="ignore"):
+        for kd in (1, -1, 0):
+            sel = kind == kd
+            if sel.any():
+                v[sel] = _kind_values(kd, l, rho[sel], *cols[sel, 1:].T)
+        # one rescale factor per substep, as its samples share its scale
+        scale = [math.exp(min(sl - lam, 700.0)) for sl in lams]
+        out[:n] = v * np.repeat(scale, counts)
     return out.tolist()
 
 
@@ -241,8 +266,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     outer = want_norms != CORE_ONLY
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
-    h = _norm(r_eps, l + 1.0)
-    p, q = r_eps / h, (l + 1.0) / h
+    p = q = 0.0
     lam = 0.0
     i_core = i_total = 0.0
     i_logoff = 0.0
@@ -276,7 +300,9 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
             else:
                 sa = a + (b - a) * isub / nsub
                 sb = a + (b - a) * (isub + 1) / nsub
-            loc = _Local(l, k2[ish], sa, p, q, power)
+            # the first substep takes the regular member alone
+            loc = _Local(l, k2[ish], sa, p, q, power,
+                         None if ish or isub else sb)
             if want_norms:
                 add_core = 0.0
                 add_total = 0.0

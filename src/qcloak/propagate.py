@@ -265,7 +265,9 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
     res = _impl.propagate(l, edges, k2, w, want_norms=want_norms,
                           sample_r=samp)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
-        # the regular start overflows for high l where x = k*rho is tiny
+        # for high l at tiny E: j_l underflows at the end of the first
+        # substep, so scaling it to a unit state overflows, or a later
+        # shell's irregular member overflows where k*rho is tiny
         raise DomainError(
             f"channel l = {l} overflows at E = {E}: the march returned "
             f"non-finite boundary data; lower l_max")

@@ -18,7 +18,8 @@ evaluate one order at many arguments with the same operations in the same
 order on every element, so each result equals the scalar one bit for bit.
 `_sph_jy_orders_array` gives every order up to l_max at many arguments,
 for the free field beyond the outer sphere, recurring downward from the
-top pair of `_sph_jy_pair_array`.
+top pair of `_j_pair_below`, the Miller pair both array twins of j_l
+share.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# Highest order the solvers accept.  It does not guarantee a finite solve:
-# the kernels expand their first substep from r ~ 1e-6 in both members of
-# the fundamental pair, and the irregular one (x y_l or x k_l) overflows
-# there for high l.  On the free medium that raises DomainError from l = 38
-# at E = 0.05, l = 40 at E = 0.5, l = 43 at E = 5 and l = 45 at E = 40
-# (ROADMAP item 4: start the march on the regular solution).
+# Highest order the solvers accept.  The kernels' first substep takes the
+# regular member of the fundamental pair alone, so on the free medium every
+# order up to it solves at E = 1e-6, 0.05, 0.5, 5 and 40.  It does not
+# guarantee a finite solve at tiny energies, where both raise DomainError:
+# j_l underflows at the first substep's end, so no unit state can be formed
+# there (free medium: from l = 55 at E = 1e-8 and l = 41 at E = 1e-12), and
+# a later shell with k*rho ~ 3e-5 overflows the irregular member x y_l in
+# its expansion (acoustic reference cloaks at E = 1e-6 from l = 51).
 L_MAX_SUPPORTED = 60
 
 _RENORM = 1e250
@@ -237,12 +240,19 @@ def _sph_jy_pair_array(l: int, x: np.ndarray):
             jm[up], j[up] = a, b
         down = ~up
         if down.any():
-            n_start = l + 18 + int(2.0 * math.sqrt(l))
-            xd = x[down]
-            fm1, fl, f1, f0 = _miller_array(l, xd, n_start, True)
-            scale = _wronskian_scale(xd, sx[down], cx[down], f1, f0)
-            jm[down], j[down] = fm1 * scale, fl * scale
+            jm[down], j[down] = _j_pair_below(l, x[down], sx[down], cx[down])
     return jm, j, ym, y
+
+
+def _j_pair_below(l: int, x: np.ndarray, sx, cx):
+    """(j_{l-1}, j_l) at a float array 0 < x < l + 1, given sx = sin x and
+    cx = cos x: Miller's downward pair, scaled by `_wronskian_scale`, as
+    `_sph_jy_pair` computes it below the turning point.  Inside the
+    callers' errstate."""
+    n_start = l + 18 + int(2.0 * math.sqrt(l))
+    fm1, fl, f1, f0 = _miller_array(l, x, n_start, True)
+    scale = _wronskian_scale(x, sx, cx, f1, f0)
+    return fm1 * scale, fl * scale
 
 
 def _sph_jy_orders_array(l_max: int, x: np.ndarray):
@@ -250,7 +260,8 @@ def _sph_jy_orders_array(l_max: int, x: np.ndarray):
     each of shape (l_max + 1, x.size).  y recurs upward from y_0, y_1 and
     j upward where x >= l_max + 1, as in `_sph_jy_pair`.  Below, j recurs
     downward, the stable direction for the minimal solution, from the top
-    pair (j_{l_max-1}, j_{l_max}) of `_sph_jy_pair_array`."""
+    pair (j_{l_max-1}, j_{l_max}) of `_j_pair_below`, which reads this
+    call's sin x and cos x."""
     sx = _map(math.sin, x)
     cx = _map(math.cos, x)
     j = np.empty((l_max + 1, x.size))
@@ -273,7 +284,8 @@ def _sph_jy_orders_array(l_max: int, x: np.ndarray):
         down = ~up
         if down.any():
             xd, jd = x[down], j[:, down]
-            jd[l_max - 1], jd[l_max], _, _ = _sph_jy_pair_array(l_max, xd)
+            jd[l_max - 1], jd[l_max] = _j_pair_below(l_max, xd, sx[down],
+                                                     cx[down])
             for n in range(l_max - 1, 0, -1):
                 jd[n - 1] = (2 * n + 1) / xd * jd[n] - jd[n + 1]
             j[:, down] = jd

@@ -13,11 +13,15 @@ theorem), so bisecting the count between the window ends gives one bracket
 per level whatever their spacing, and `brentq` polishes each to
 `LEVEL_XTOL`.  `brentq` is Brent's method, step for step scipy's C
 routine at its default tolerances, so the roots are scipy's to the bit
-without scipy at run time.  The Neumann-core and free-ball searches are
-one `_roots` call each: sign-change brackets from a scan, each polished
-by `brentq`; a scan end warns only when `_level_at_end` finds a level
-there.  Every bracket carries the function values its search already
-computed at its ends, so `brentq` solves neither end again (`_polish`).
+without scipy at run time.  The Neumann-core search (NEUMANN_SCAN points,
+polished to NEUMANN_XTOL) and each channel of the free-ball search are one
+`_roots` call: sign-change brackets from a scan, each polished by
+`brentq`; a scan end whose value is below 1e-9 of the scan's largest
+warns.  The free-ball scan of channel l covers only x = R_OUTER*sqrt(E) >=
+l + 1/2, where j_l can vanish, in steps below pi/2, half the least
+spacing of its zeros.  Every bracket carries the function values its
+search already computed at its ends, so `brentq` solves neither end again
+(`_polish`).
 The driven core response that certifies a pole reads only the core mass,
 so its solves skip the norm quadrature beyond the core (`CORE_ONLY`).
 Concentrations between the `MIXED_BAND` limits classify a level as mixed;
@@ -26,10 +30,9 @@ reports poles above `AMP_THRESHOLD`.  Before any solve, every search
 refuses a window that is not finite with lo < hi (`DomainError`), and the
 two that take `l_max` refuse one that is not an integer in
 [0, L_MAX_SUPPORTED] (`ConfigurationError`, the check of
-`propagate.checked_l_max`).  The Neumann search refuses a scan count
-that is not an integer >= 2 or a tolerance that is not finite and > 0,
-`resonance_scan` a scan count that is not an integer >= 1, and the pole
-fit fewer than two distinct offsets (`DomainError`).
+`propagate.checked_l_max`).  `resonance_scan` refuses a scan count that
+is not an integer >= 1, and the pole fit fewer than two distinct offsets
+(`DomainError`).
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ AMP_THRESHOLD = 100.0
 LEVEL_XTOL = 1e-12
 #: |v(3)| of the unit end state below which a window end warns as a level
 ENDPOINT_TOL = 1e-9
+#: scan points and brentq tolerance in E of the Neumann-core search
+NEUMANN_SCAN = 2000
+NEUMANN_XTOL = 1e-10
 #: relative tolerance and step limit of `brentq`, scipy's defaults
 BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
@@ -171,35 +177,13 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
                        f"iterations, value is {xcur}")
 
 
-def _checked_count(n_scan, least: int) -> None:
-    """DomainError unless the scan count n_scan is an integer >= least."""
-    if not isinstance(n_scan, numbers.Integral) or n_scan < least:
-        raise DomainError(
-            f"n_scan: need an integer count >= {least}, got {n_scan!r}")
-
-
-def _level_at_end(f, x, fx, toward) -> bool:
-    """Whether a level of f sits at the scan end x, given fx = f(x): the
-    secant through x and a point a millionth of min(|x|, |toward - x|)
-    inside meets zero within that distance.  A zero of high order just
-    beyond the end, as j_l's at x = 0, leaves f nearly flat there and does
-    not count."""
-    width = abs(toward - x)
-    step = 1e-6 * (min(abs(x), width) or width)
-    return abs(fx) < abs(fx - f(x + math.copysign(step, toward - x)))
-
-
 def _sign_scan(f, lo: float, hi: float, n: int, refine: int = 2):
     """Sign-change brackets (a, f(a), b, f(b)) of f on [lo, hi]; clustered
     changes trigger a local 10x rescan up to `refine` levels.  An end whose
-    |f| is below 1e-9 of the grid's largest warns when `_level_at_end`
-    finds a level there."""
+    |f| is below 1e-9 of the grid's largest warns."""
     xs = np.linspace(lo, hi, n)
     vals = np.array([f(x) for x in xs])
-    scale = np.max(np.abs(vals))
-    if any(abs(fx) < 1e-9 * scale and _level_at_end(f, x, fx, toward)
-           for x, fx, toward in ((xs[0], vals[0], xs[1]),
-                                 (xs[-1], vals[-1], xs[-2]))):
+    if min(abs(vals[0]), abs(vals[-1])) < 1e-9 * np.max(np.abs(vals)):
         warnings.warn("root sits on a scan endpoint; extend the window")
     flips = np.flatnonzero(np.signbit(vals[:-1]) != np.signbit(vals[1:]))
     brackets = []
@@ -299,24 +283,19 @@ def dirichlet_eigenvalues(system: System, l: int,
 
 
 def neumann_core_eigenvalues(W: CorePotential, l: int,
-                             window: tuple[float, float],
-                             n_scan: int = 2000,
-                             xtol: float = 1e-10) -> list[SpectralPoint]:
+                             window: tuple[float, float]
+                             ) -> list[SpectralPoint]:
     """Neumann eigenvalues of -lap + W on the unit ball: roots of
-    psi_l'(1; E) for the regular solution, bracketed on an n_scan-point
-    grid and polished to xtol.  The core is the whole domain, so every
-    level has concentration 1.  An n_scan that is not an integer >= 2 or
-    an xtol that is not finite and > 0 raises DomainError."""
+    psi_l'(1; E) for the regular solution, bracketed on a NEUMANN_SCAN-point
+    grid and polished to NEUMANN_XTOL.  The core is the whole domain, so
+    every level has concentration 1."""
     lo, hi = _checked_window(window)
-    _checked_count(n_scan, 2)
-    if not 0.0 < xtol < math.inf:
-        raise DomainError(f"xtol must be finite and > 0, got {xtol!r}")
 
     def f(E):
         return solve_channel(W, l, E, want_norms=False).neumann_value
 
     return [SpectralPoint(root, l, "interior", 1.0, "neumann-b1")
-            for root in _roots(f, lo, hi, n_scan, xtol)]
+            for root in _roots(f, lo, hi, NEUMANN_SCAN, NEUMANN_XTOL)]
 
 
 def free_dirichlet_eigenvalues(window: tuple[float, float],
@@ -325,24 +304,31 @@ def free_dirichlet_eigenvalues(window: tuple[float, float],
     j_l(R_OUTER*sqrt(E)) = 0.
 
     Returns (E, l) pairs within the window, used by the refusal logic.
-    Scans in k where the zeros are near-uniformly spaced, reading j_l
-    alone (`_sph_jy_pair`) at Python floats: the y_l it is computed with
-    overflows near x = 0 for high l, silently so in float arithmetic.  A
-    window with hi <= 0 holds no level.
+    Channel l is scanned in x = R_OUTER*sqrt(E) only from l + 1/2 on, as
+    j_l has no zero below its order (DLMF 10.21(i)), so no scan ends at
+    x = 0, where j_l vanishes to order l without a level.  x j_l solves
+    v'' + (1 - l(l+1)/x^2) v = 0, so by Sturm comparison with sin x its
+    zeros lie at least pi apart, and a grid step below pi/2 brackets each
+    alone.  The scan reads j_l alone (`_sph_jy_pair`).  A window with
+    hi <= 0 holds no level.
     """
     lo, hi = _checked_window(window)
     _checked_channel_cap(l_max)
     if hi <= 0.0:
         return []
-    k_lo, k_hi = R_OUTER * math.sqrt(max(lo, 1e-12)), R_OUTER * math.sqrt(hi)
-    n = max(64, int(8.0 * (k_hi - k_lo) / math.pi))
+    x_lo, x_hi = R_OUTER * math.sqrt(max(lo, 0.0)), R_OUTER * math.sqrt(hi)
     pairs = []
     for l in range(l_max + 1):
+        a = max(x_lo, l + 0.5)
+        if a >= x_hi:
+            continue
+
         def f(x):
             return _sph_jy_pair(l, float(x))[1]
 
+        n = 2 + int(2.0 * (x_hi - a) / math.pi)
         pairs.extend(((x0 / R_OUTER) ** 2, l)
-                     for x0 in _roots(f, k_lo, k_hi, n, 1e-13))
+                     for x0 in _roots(f, a, x_hi, n, 1e-13))
     return sorted(p for p in pairs if lo <= p[0] <= hi)
 
 
@@ -408,7 +394,9 @@ def resonance_scan(system: System, l: int, E_range: tuple[float, float],
     AMP_THRESHOLD the report carries the flat grid response and no pole.
     """
     lo, hi = _checked_window(E_range)
-    _checked_count(n_scan, 1)
+    if not isinstance(n_scan, numbers.Integral) or n_scan < 1:
+        raise DomainError(
+            f"n_scan: need an integer count >= 1, got {n_scan!r}")
     grid = np.linspace(lo, hi, n_scan)
     amps = np.array([_amplification(system, l, E) for E in grid])
     poles = dirichlet_eigenvalues(system, l, E_range)

@@ -436,9 +436,11 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
 # one at a time; the array pass after the march replaced both loops.  Kept
 # verbatim except for the per-shell log-derivatives and the sample radii,
 # which neither the kernels nor `ChannelSolution` carry any more, the
-# core radius, which is the kernels' constant `_R_CORE`, and the state
-# norm, which is the kernel's `_norm` (the C library's hypot): this march
-# is a reference for the sample pass, not for the norm.
+# core radius, which is the kernels' constant `_R_CORE`, the state norm,
+# which is the kernel's `_norm` (the C library's hypot), and the start,
+# which is the kernel's: the first substep takes the regular member alone
+# (`_Local`'s `end`).  This march is a reference for the sample pass, not
+# for the norm or the start.
 
 def per_sample_propagate(l: int, r: Sequence[float],
                          k2: Sequence[float], w: Sequence[float],
@@ -452,8 +454,7 @@ def per_sample_propagate(l: int, r: Sequence[float],
     outer = want_norms != CORE_ONLY
     n_shell = len(k2)
     r_eps = min(_EPS_ORIGIN, 0.5 * r[1])
-    h = _norm(r_eps, l + 1.0)
-    p, q = r_eps / h, (l + 1.0) / h
+    p = q = 0.0
     lam = 0.0
     i_core = i_total = 0.0
     i_logoff = 0.0
@@ -487,7 +488,8 @@ def per_sample_propagate(l: int, r: Sequence[float],
             else:
                 sa = a + (b - a) * isub / nsub
                 sb = a + (b - a) * (isub + 1) / nsub
-            loc = _Local(l, k2[ish], sa, p, q, power)
+            loc = _Local(l, k2[ish], sa, p, q, power,
+                         None if ish or isub else sb)
             if want_norms:
                 add_core = 0.0
                 add_total = 0.0

@@ -211,12 +211,22 @@ class TestRefusal:
 class TestOverflowingChannels:
     def test_phase_shifts_exit_3_instead_of_writing_nan(self, tmp_path,
                                                         capsys):
-        # the default cloak's channels 47 and 48 were written as nan rows
+        # the default cloak's channels 47 and 48 were written as nan rows,
+        # then refused with exit 3; the march's regular start solves them
         rc = cli.main(["phase-shifts", "--l-max", "48", "--mode", "acoustic",
-                       "--out", str(tmp_path)])
+                       "--out", str(tmp_path / "E0.5")])
+        assert rc == 0
+        rows = [line.split("\t") for line in (
+            tmp_path / "E0.5" / "phase_shifts.tsv").read_text().splitlines()
+            if not line.startswith("#")]
+        assert [int(row[0]) for row in rows] == list(range(49))
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        # a channel whose j_l underflows near the origin still exits 3
+        rc = cli.main(["phase-shifts", "--E", "1e-12", "--l-max", "48",
+                       "--mode", "acoustic", "--out", str(tmp_path / "tiny")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("error: channel l = 47")
-        assert not (tmp_path / "phase_shifts.tsv").exists()
+        assert capsys.readouterr().err.startswith("error: channel l = 41")
+        assert not (tmp_path / "tiny" / "phase_shifts.tsv").exists()
 
 
 class TestConvergence:

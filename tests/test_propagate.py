@@ -13,8 +13,11 @@ from scipy.special import spherical_jn
 import qcloak as qc
 from qcloak import _kernel_py, propagate
 from qcloak.errors import ConfigurationError, DomainError
-from qcloak.media import attach_core, gauge_potential, mollify_medium
+from qcloak.media import (R_OUTER, attach_core, gauge_potential,
+                          mollify_medium)
+from qcloak.observables import free_dn_spectrum
 from qcloak.propagate import CORE_ONLY, _solve, shell_stack
+from qcloak.special import L_MAX_SUPPORTED
 
 import oracles
 
@@ -596,6 +599,63 @@ class TestSampleArrayPass:
                             (name, E, l, want_norms)
 
 
+class TestRegularStart:
+    """The march's first substep takes the regular member alone (B = 0), so
+    the irregular member, which overflows near the origin for high l, is
+    never formed there: every supported channel of the free medium solves
+    at these energies."""
+
+    ENERGIES = (1e-6, 0.05, 0.5, 5.0, 40.0)
+
+    def test_free_medium_matches_the_closed_form(self, free_medium,
+                                                 compiled_kernel,
+                                                 monkeypatch):
+        got = {}
+        for name, kernel in (("python", _kernel_py),
+                             ("compiled", compiled_kernel)):
+            monkeypatch.setattr(propagate, "_impl", kernel)
+            got[name] = [
+                (qc.dn_spectrum(free_medium, E, L_MAX_SUPPORTED),
+                 [qc.solve_channel(free_medium, l, E)
+                  for l in range(0, L_MAX_SUPPORTED + 1, 5)])
+                for E in self.ENERGIES]
+        assert pickle.dumps(got["python"]) == pickle.dumps(got["compiled"])
+        for dn, sols in got["python"]:
+            ref = np.array(free_dn_spectrum(dn.E, L_MAX_SUPPORTED).lam)
+            # lam = v'/v - 1/R_OUTER keeps the rounding of 1/R_OUTER: at
+            # l = 0, E = 1e-6 lam is -1e-6, with relative error 7e-12
+            assert np.all(np.abs(np.array(dn.lam) - ref)
+                          <= 1e-13 * (np.abs(ref) + 1.0 / R_OUTER)), dn.E
+            assert all(math.isfinite(s.log_norm_core)
+                       and math.isfinite(s.log_norm_total) for s in sols)
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    @pytest.mark.parametrize("l", [34, 45, 60])
+    def test_samples_near_the_origin(self, free_medium, backend, request,
+                                     monkeypatch, l):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        # an oscillatory and an evanescent first shell; kappa^2 = 1e-3 in
+        # the core put x k_l(x) at x = kappa r_eps near overflow, and the
+        # sample pass of the former start multiplied it by B = 0 at l = 34
+        evanescent = qc.RadialPotential(
+            (qc.PotentialShell(0.0, 1.0, E0 + 1e-3),
+             qc.PotentialShell(1.0, 3.0, 0.0)))
+        samp = [0.0, 1e-9, _kernel_py._EPS_ORIGIN, 2e-6, 1e-3, 0.05, 0.5,
+                1.0, 2.0, 3.0]
+        for system in (free_medium, evanescent):
+            stack = shell_stack(system)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = qc.solve_channel(system, l, E0, True, samp)
+            assert all(math.isfinite(u) for u in ours.sample_u)
+            assert ours.sample_u[-1] == pytest.approx(1.0, rel=1e-12)
+            assert pickle.dumps(ours) == pickle.dumps(oracles.per_sample_solve(
+                oracles.per_sample_propagate, stack.edges, stack.k2(E0),
+                stack.w, l, E0, True, samp))
+
+
 class TestHomogenizationLimit:
     def test_layering_converges_to_the_anisotropic_cloak(self):
         # the two-phase layering must reproduce the exact (closed-form,
@@ -668,17 +728,24 @@ class TestValidation:
             theirs.p_end, theirs.q_end, theirs.zeros)
 
     def test_overflowing_channels_raise(self, free_medium, cloak_builder):
-        # the regular start overflows for these channels; the march used to
-        # return NaN boundary data (exact free phase shift: 0)
-        with pytest.raises(DomainError, match="l = 40 overflows at E = 0.5"):
-            qc.propagate_acoustic(free_medium, 40, E0)
-        with pytest.raises(DomainError, match="l = 40"):
-            qc.phase_shifts(free_medium, E0, l_max=40)
+        # these channels overflowed at the march's start, in the irregular
+        # member, and raised DomainError; the first substep now takes the
+        # regular member alone, so they solve (exact free phase shift: 0)
+        sol = qc.propagate_acoustic(free_medium, 40, E0)
+        assert sol.p_end > 0.0 and sol.zeros == 0
+        assert math.isfinite(sol.log_norm_core)
+        assert abs(qc.phase_shifts(free_medium, E0, l_max=40).delta[40]) \
+            < 1e-100
         trap = cloak_builder(1.005, 50, c_inn=1.858)
-        with pytest.raises(DomainError, match="l = 39 overflows at E = 0.5"):
-            qc.propagate_acoustic(trap, 39, E0)
-        with pytest.raises(DomainError, match="l = 39"):
-            qc.dn_spectrum(trap, E0, l_max=39)
+        assert math.isfinite(qc.propagate_acoustic(trap, 39, E0).p_end)
+        assert np.all(np.isfinite(qc.dn_spectrum(trap, E0, l_max=39).lam))
+        # where j_l itself underflows at the first substep's end, no unit
+        # state can be formed there, and the channel still raises
+        with pytest.raises(DomainError,
+                           match="l = 41 overflows at E = 1e-12"):
+            qc.propagate_acoustic(free_medium, 41, 1e-12)
+        assert math.isfinite(qc.propagate_acoustic(free_medium, 40,
+                                                   1e-12).p_end)
 
     def test_unsorted_samples_rejected(self, free_medium):
         with pytest.raises(DomainError):
