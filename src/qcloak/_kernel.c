@@ -2,10 +2,14 @@
  *
  * Same contract and numerics as the pure-Python module; see its docstring.
  * The numerics are plain C99 and repeat the twin's operations in the same
- * order, so the two agree to rounding.  The CPython glue at the end converts
+ * order, so the two agree bit for bit.  The CPython glue at the end converts
  * the arguments, runs the march with the GIL released and returns a
- * qcloak._kernel_py.KernelResult.  `propagate` is the one entry, and it
- * keeps nothing per shell: the library matches at the outer boundary only.
+ * qcloak._kernel_py.KernelResult.  There are two entries, as in the twin.
+ * `propagate` marches and keeps nothing per shell: the library matches at
+ * the outer boundary only.  With keep_steps it writes one row per substep
+ * into the bytes of a qcloak._kernel_py.Steps, and `sample` evaluates v at
+ * sorted radii from those rows (sample_rows); the march itself takes no
+ * samples.
  * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
  * from the twin at import), which integrates v^2 only inside R_CORE.
  * The march starts on the regular solution, as the twin's does: the first
@@ -35,6 +39,9 @@ static const double EPS_ORIGIN = 1e-6;       /* first substep's start */
 static const double NORM_CEIL = 1e250;
 static const double NORM_SHIFT = 100.0 * 2.302585092994045684;
 static const double RENORM = 1e250;
+/* doubles per step-table row: (end, kind, k, a, A, B, lam), the twin's
+ * STEP_COLS */
+#define STEP_COLS 7
 
 static const double G8N[8] = {
     -0.9602898564975363, -0.7966664774136267, -0.5255324099163290,
@@ -287,27 +294,45 @@ static int substeps(double a, double b, double k2, int power)
 }
 
 typedef struct {
-    double p, q, i_core, i_total, i_logoff;
+    double p, q, i_core, i_total, i_logoff, lam, r_eps;
     int overflow;
     long zeros;
 } March;
 
+static double start_radius(const double *r)
+{
+    return 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
+}
+
+/* the number of substeps, so of step-table rows, of a march */
+static Py_ssize_t count_substeps(Py_ssize_t n, const double *r,
+                                 const double *k2)
+{
+    double a, b;
+    Py_ssize_t ish, total = 0;
+    for (ish = 0; ish < n; ish++) {
+        a = ish > 0 ? r[ish] : start_radius(r);
+        b = r[ish + 1];
+        total += substeps(a, b, k2[ish], use_power(k2[ish], a, b));
+    }
+    return total;
+}
+
 /* March the regular solution of channel l through the n shells bounded by
  * r[0..n]; see qcloak._kernel_py.propagate.  want_norms integrates v^2;
  * core_only then computes no panel beyond R_CORE, so i_total equals i_core.
- * samp_v receives the v at the n_samp sorted radii samp_r in units of the
- * final state; samp_lam is scratch.  out->zeros counts the sign changes of
- * v between substep ends, which is every zero of v. */
+ * rows, unless NULL, receives one step-table row per substep.  out->zeros
+ * counts the sign changes of v between substep ends, which is every zero
+ * of v. */
 static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                   const double *w, int want_norms, int core_only,
-                  Py_ssize_t n_samp, const double *samp_r, double *samp_v,
-                  double *samp_lam, March *out)
+                  double *rows, March *out)
 {
-    double r_eps = 0.5 * r[1] < EPS_ORIGIN ? 0.5 * r[1] : EPS_ORIGIN;
+    double r_eps = start_radius(r);
     double p = 0.0, q = 0.0;
     double lam = 0.0, i_core = 0.0, i_total = 0.0, i_logoff = 0.0;
-    double a, b, sa, sb, m, dlam, f, add_core, add_total, scale, dv;
-    Py_ssize_t ish, si = 0;
+    double a, b, sa, sb, m, dlam, f, add_core, add_total, scale;
+    Py_ssize_t ish;
     int isub, nsub, power, neg, overflow = 0;
     long zeros = 0;
     Local loc;
@@ -359,10 +384,15 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
                 i_core += add_core * scale;
                 i_total += add_total * scale;
             }
-            for (; si < n_samp && samp_r[si] <= sb + 1e-15; si++) {
-                local_eval(&loc, samp_r[si] < r_eps ? r_eps : samp_r[si],
-                           &samp_v[si], &dv);
-                samp_lam[si] = lam;
+            if (rows != NULL) {
+                rows[0] = sb + 1e-15;
+                rows[1] = loc.kind;
+                rows[2] = loc.k;
+                rows[3] = sa;
+                rows[4] = loc.A;
+                rows[5] = loc.B;
+                rows[6] = lam;
+                rows += STEP_COLS;
             }
             neg = p < 0.0;
             local_eval(&loc, sb, &p, &q);
@@ -385,16 +415,46 @@ static void march(int l, Py_ssize_t n, const double *r, const double *k2,
             }
         }
     }
-    for (si = 0; si < n_samp; si++) {
-        f = samp_lam[si] - lam;
-        samp_v[si] *= exp(f > 700.0 ? 700.0 : f);
+    *out = (March){p, q, i_core, i_total, i_logoff, lam, r_eps, overflow,
+                   zeros};
+}
+
+/* v at the n_samp sorted radii samp_r into samp_v, in units of the final
+ * state (log scale lam), from the n_rows step-table rows of a march; see
+ * qcloak._kernel_py.sample.  Each substep takes the samples up to its
+ * end; radii beyond the last substep read 0. */
+static void sample_rows(int l, const double *rows, Py_ssize_t n_rows,
+                        double lam, double r_eps, Py_ssize_t n_samp,
+                        const double *samp_r, double *samp_v)
+{
+    double f, scale, dv;
+    Py_ssize_t j, si = 0;
+    Local loc;
+    loc.l = l;
+    for (j = 0; j < n_rows && si < n_samp; j++, rows += STEP_COLS) {
+        if (samp_r[si] > rows[0])
+            continue;
+        loc.kind = (int)rows[1];
+        loc.k = rows[2];
+        loc.a = rows[3];
+        loc.A = rows[4];
+        loc.B = rows[5];
+        f = rows[6] - lam;
+        scale = exp(f > 700.0 ? 700.0 : f);
+        for (; si < n_samp && samp_r[si] <= rows[0]; si++) {
+            local_eval(&loc, samp_r[si] < r_eps ? r_eps : samp_r[si],
+                       &samp_v[si], &dv);
+            samp_v[si] *= scale;
+        }
     }
-    *out = (March){p, q, i_core, i_total, i_logoff, overflow, zeros};
+    for (; si < n_samp; si++)
+        samp_v[si] = 0.0;
 }
 
 /* ---- CPython glue ---------------------------------------------------- */
 
 static PyObject *KernelResult;      /* qcloak._kernel_py.KernelResult */
+static PyObject *Steps;             /* qcloak._kernel_py.Steps */
 static long CORE_ONLY = -1;         /* qcloak._kernel_py.CORE_ONLY */
 
 /* Floats of a tuple into buf; a tuple, unlike a list, cannot change size
@@ -426,31 +486,28 @@ static PyObject *float_list(const double *v, Py_ssize_t n)
 static PyObject *kernel_propagate(PyObject *self, PyObject *args,
                                   PyObject *kwargs)
 {
-    static char *kwlist[] = {"l", "r", "k2", "w", "want_norms", "sample_r",
+    static char *kwlist[] = {"l", "r", "k2", "w", "want_norms", "keep_steps",
                              NULL};
-    int l, want_norms = 1, i;
-    double *buf = NULL, *r, *k2, *w, *sr, *sv;
-    PyObject *obj[4], *tup[4] = {NULL, NULL, NULL, NULL};
-    PyObject *samples = NULL, *res = NULL;
-    Py_ssize_t n, n_samp;
+    int l, want_norms = 1, keep_steps = 0, i;
+    double *buf = NULL, *r, *k2, *w;
+    PyObject *obj[3], *tup[3] = {NULL, NULL, NULL};
+    PyObject *rows = NULL, *steps = NULL, *res = NULL;
+    Py_ssize_t n;
     March m;
 
-    obj[3] = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|iO:propagate",
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOO|ip:propagate",
                                      kwlist, &l, &obj[0], &obj[1], &obj[2],
-                                     &want_norms, &obj[3]))
+                                     &want_norms, &keep_steps))
         return NULL;
     if (want_norms != 0 && want_norms != 1 && want_norms != CORE_ONLY) {
         PyErr_Format(PyExc_ValueError, "want_norms must be False, True or "
                      "CORE_ONLY (%ld), got %d", CORE_ONLY, want_norms);
         return NULL;
     }
-    for (i = 0; i < 4; i++)
-        if ((i < 3 || obj[3] != Py_None)
-                && (tup[i] = PySequence_Tuple(obj[i])) == NULL)
+    for (i = 0; i < 3; i++)
+        if ((tup[i] = PySequence_Tuple(obj[i])) == NULL)
             goto done;
     n = PyTuple_GET_SIZE(tup[1]);
-    n_samp = tup[3] != NULL ? PyTuple_GET_SIZE(tup[3]) : 0;
     if (l < 0) {
         PyErr_Format(PyExc_ValueError, "channel l=%d is negative", l);
         goto done;
@@ -463,7 +520,7 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
                      PyTuple_GET_SIZE(tup[2]));
         goto done;
     }
-    buf = PyMem_Calloc(3 * n + 1 + 3 * n_samp, sizeof(double));
+    buf = PyMem_Calloc(3 * n + 1, sizeof(double));
     if (buf == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -471,38 +528,88 @@ static PyObject *kernel_propagate(PyObject *self, PyObject *args,
     r = buf;
     k2 = r + n + 1;
     w = k2 + n;
-    sr = w + n;
-    sv = sr + n_samp;
     if (copy_doubles(tup[0], r) || copy_doubles(tup[1], k2)
-            || copy_doubles(tup[2], w)
-            || (tup[3] != NULL && copy_doubles(tup[3], sr)))
+            || copy_doubles(tup[2], w))
+        goto done;
+    /* the rows go straight into a bytes object that nothing else sees yet */
+    if (keep_steps && (rows = PyBytes_FromStringAndSize(NULL,
+            count_substeps(n, r, k2) * STEP_COLS * sizeof(double))) == NULL)
         goto done;
 
     Py_BEGIN_ALLOW_THREADS
     march(l, n, r, k2, w, want_norms != 0, want_norms == CORE_ONLY,
-          n_samp, sr, sv, sv + n_samp, &m);
+          rows != NULL ? (double *)PyBytes_AS_STRING(rows) : NULL, &m);
     Py_END_ALLOW_THREADS
 
-    samples = tup[3] != NULL ? float_list(sv, n_samp) : Py_NewRef(Py_None);
-    if (samples == NULL)
+    if (rows == NULL)
+        steps = Py_NewRef(Py_None);
+    else if ((steps = PyObject_CallFunction(Steps, "Odd", rows, m.lam,
+                                            m.r_eps)) == NULL)
         goto done;
     res = PyObject_CallFunction(KernelResult, "dddddOOl", m.p, m.q,
-                                m.i_core, m.i_total, m.i_logoff, samples,
+                                m.i_core, m.i_total, m.i_logoff, steps,
                                 m.overflow ? Py_True : Py_False, m.zeros);
 done:
     PyMem_Free(buf);
-    Py_XDECREF(samples);
-    for (i = 0; i < 4; i++)
+    Py_XDECREF(rows);
+    Py_XDECREF(steps);
+    for (i = 0; i < 3; i++)
         Py_XDECREF(tup[i]);
+    return res;
+}
+
+static PyObject *kernel_sample(PyObject *self, PyObject *args)
+{
+    int l;
+    double lam, r_eps, *sr = NULL;
+    PyObject *steps, *obj, *tup = NULL, *res = NULL;
+    Py_buffer rows = {NULL};
+    Py_ssize_t n_samp;
+
+    if (!PyArg_ParseTuple(args, "iO!O:sample", &l, &PyTuple_Type, &steps,
+                          &obj)
+            || !PyArg_ParseTuple(steps, "y*dd:sample", &rows, &lam, &r_eps))
+        return NULL;
+    if (rows.len % (STEP_COLS * sizeof(double)) != 0) {
+        PyErr_Format(PyExc_ValueError, "step rows must hold a multiple of "
+                     "%d doubles, got %zd bytes", STEP_COLS, rows.len);
+        goto done;
+    }
+    if ((tup = PySequence_Tuple(obj)) == NULL)
+        goto done;
+    n_samp = PyTuple_GET_SIZE(tup);
+    /* one block: the radii, then the values */
+    if ((sr = PyMem_Calloc(2 * n_samp + 1, sizeof(double))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (copy_doubles(tup, sr))
+        goto done;
+
+    Py_BEGIN_ALLOW_THREADS
+    sample_rows(l, (const double *)rows.buf,
+                rows.len / (Py_ssize_t)(STEP_COLS * sizeof(double)), lam,
+                r_eps, n_samp, sr, sr + n_samp);
+    Py_END_ALLOW_THREADS
+
+    res = float_list(sr + n_samp, n_samp);
+done:
+    PyMem_Free(sr);
+    Py_XDECREF(tup);
+    PyBuffer_Release(&rows);
     return res;
 }
 
 static PyMethodDef kernel_methods[] = {
     {"propagate", (PyCFunction)(void (*)(void))kernel_propagate,
      METH_VARARGS | METH_KEYWORDS,
-     "propagate($module, l, r, k2, w, want_norms=True, sample_r=None)\n"
+     "propagate($module, l, r, k2, w, want_norms=True, keep_steps=False)\n"
      "--\n\n"
      "See qcloak._kernel_py.propagate; identical contract."},
+    {"sample", (PyCFunction)kernel_sample, METH_VARARGS,
+     "sample($module, l, steps, sample_r)\n"
+     "--\n\n"
+     "See qcloak._kernel_py.sample; identical contract."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -523,9 +630,13 @@ PyMODINIT_FUNC PyInit__kernel(void)
         Py_XDECREF(core_only);
         if (!PyErr_Occurred())
             KernelResult = PyObject_GetAttrString(twin, "KernelResult");
+        if (KernelResult != NULL)
+            Steps = PyObject_GetAttrString(twin, "Steps");
         Py_DECREF(twin);
-        if (KernelResult == NULL)
+        if (Steps == NULL) {
+            Py_CLEAR(KernelResult);
             return NULL;
+        }
     }
     module = PyModule_Create(&kernel_module);
     if (module != NULL && PyModule_AddStringConstant(

@@ -4,9 +4,10 @@ Reference implementation of the per-channel shell marcher; `qcloak._kernel`
 is the compiled twin with identical results, bit for bit, selected at import
 time by `qcloak.propagate`: both make the same floating-point operations in
 the same order and call the same C library functions, hypot included
-(`_norm`).  `propagate` is the one entry, and it returns only what
-the library reads: the state (v, v') at the outer boundary, the norm
-integrals, the field samples and the zero count, nothing per shell.
+(`_norm`).  There are two entries.  `propagate` marches and returns only
+what the library reads: the state (v, v') at the outer boundary, the norm
+integrals and the zero count, and on request the step table that
+`sample`, the other entry, reads; nothing per shell.
 
 The radial factor is propagated in Riccati form v = rho*u, where within one
 shell  v'' + (k2 - l(l+1)/rho^2) v = 0.  The state (v, v') is renormalized to
@@ -30,17 +31,18 @@ as the caller reads them: `want_norms=CORE_ONLY` skips every panel beyond
 `_R_CORE`.
 
 Point samples for field maps never feed back into the march, so the march
-only notes which substep each sample falls in; after it, `_sample_values`
-evaluates every sample of the solve from its substep's expansion in one
-array pass per kind, with the array twins of the Bessel pairs in
+takes none.  With `keep_steps` it returns its step table instead
+(`Steps`: each substep's end, expansion and log scale), and `sample`
+evaluates v at any sorted radii from that table, in one array pass per
+kind of substep, with the array twins of the Bessel pairs in
 `qcloak.special`.  The values equal those of the scalar expansion bit for
-bit.
+bit, and one table serves every point set of a channel at its energy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,13 +74,27 @@ _G8_WEIGHTS = (
 )
 
 
+#: float64 columns of a step-table row: (end, kind, k, a, A, B, lam)
+STEP_COLS = 7
+
+
+class Steps(NamedTuple):
+    """A march's step table, which `sample` reads.  `rows` holds one row
+    of STEP_COLS float64 per substep, in march order: the substep's end
+    sb + 1e-15 (the largest radius it samples), its expansion (`_Local`'s
+    kind, k, a, A, B) and the log scale of the state at its start."""
+    rows: bytes
+    lam: float                # log scale of the final state
+    r_eps: float              # start radius of the first substep
+
+
 class KernelResult(NamedTuple):
     p3: float                 # v at the outer boundary, unit state
     q3: float                 # v' at the outer boundary, unit state
     i_core: float             # int_0^1 v^2, units of the final state
     i_total: float            # int_0^R v^2, same units
     i_logoff: float           # add to log(i_*) to undo overflow rescales
-    samples: Optional[list]   # v at sample_r, units of the final state
+    steps: Optional[Steps]    # the step table, when asked for
     overflow: bool
     zeros: int                # sign changes of v between substep ends
 
@@ -189,23 +205,25 @@ def _irregular(B, G) -> np.ndarray:
     return out
 
 
-def _sample_values(l: int, sample_r: Sequence[float], r_eps: float,
-                   lam: float, sampled: list) -> list:
-    """v at sample_r in units of the final state (log scale lam).
+def sample(l: int, steps: Steps, sample_r: Sequence[float]) -> list:
+    """v at the radii sample_r, sorted ascending, in units of the final
+    state of the march that wrote `steps`.
 
-    `sampled` holds (expansion, log scale, sample count) of each substep
-    that took samples, in order; the samples it covers come first, and
-    the rest (beyond the last substep) read 0.
+    A radius belongs to the first substep whose end reaches it, and one
+    below the start radius is evaluated there; radii beyond the last
+    substep read 0.
     """
-    out = np.zeros(len(sample_r))
-    if not sampled:
-        return out.tolist()
-    locs, lams, counts = zip(*sampled)
-    n = sum(counts)
-    rho = np.maximum(np.asarray(sample_r[:n], dtype=float), r_eps)
-    cols = np.repeat(np.array([(loc.kind, loc.k, loc.a, loc.A, loc.B)
-                               for loc in locs]), counts, axis=0)
+    rows = np.frombuffer(steps.rows).reshape(-1, STEP_COLS)
+    rho = np.asarray(sample_r, dtype=float)
+    out = np.zeros(len(rho))
+    # samples up to each substep's end; sample_r's order makes them
+    # contiguous, and the running maximum keeps the cursor from moving back
+    upto = np.searchsorted(rho, np.maximum.accumulate(rows[:, 0]), "right")
+    counts = np.diff(upto, prepend=0)
+    n = int(upto[-1])
+    cols = np.repeat(rows[:, 1:6], counts, axis=0)
     kind = cols[:, 0]
+    rho = np.maximum(rho[:n], steps.r_eps)
     v = np.empty(n)
     # silent, as the scalar expansion's float arithmetic is: a march that
     # ends non-finite (A = inf) is refused after it
@@ -215,8 +233,9 @@ def _sample_values(l: int, sample_r: Sequence[float], r_eps: float,
             if sel.any():
                 v[sel] = _kind_values(kd, l, rho[sel], *cols[sel, 1:].T)
         # one rescale factor per substep, as its samples share its scale
-        scale = [math.exp(min(sl - lam, 700.0)) for sl in lams]
-        out[:n] = v * np.repeat(scale, counts)
+        scale = [math.exp(min(sl - steps.lam, 700.0))
+                 for sl in rows[counts > 0, 6].tolist()]
+        out[:n] = v * np.repeat(scale, counts[counts > 0])
     return out.tolist()
 
 
@@ -243,12 +262,13 @@ def _panel(loc: _Local, lo: float, hi: float) -> float:
 
 def propagate(l: int, r: Sequence[float], k2: Sequence[float],
               w: Sequence[float], want_norms: int = True,
-              sample_r: Optional[Sequence[float]] = None) -> KernelResult:
+              keep_steps: bool = False) -> KernelResult:
     """March the regular solution of channel l outward through the shells.
 
     r has N+1 boundaries starting at 0; k2 and w hold per-shell squared
-    wavenumbers and derivative-continuity weights.  sample_r must be sorted
-    ascending within (0, r[-1]].
+    wavenumbers and derivative-continuity weights.  With keep_steps the
+    result carries the march's step table (`Steps`), from which `sample`
+    evaluates v at any radii; else `steps` is None.
 
     want_norms is False (no norms: i_core = i_total = 0), True (both) or
     CORE_ONLY, which computes no quadrature panel beyond _R_CORE, so i_total
@@ -270,10 +290,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
     lam = 0.0
     i_core = i_total = 0.0
     i_logoff = 0.0
-    n_samp = len(sample_r) if sample_r is not None else 0
-    samp = list(sample_r) if n_samp else []
-    sampled = []
-    si = 0
+    rows = array("d") if keep_steps else None
     overflow = False
     zeros = 0
 
@@ -317,13 +334,9 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                 scale = math.exp(-i_logoff) if i_logoff else 1.0
                 i_core += add_core * scale
                 i_total += add_total * scale
-            if si < n_samp:
-                # the samples up to sb (+1e-15), which sample_r's order
-                # makes contiguous
-                se = bisect_right(samp, sb + 1e-15, si)
-                if se > si:
-                    sampled.append((loc, lam, se - si))
-                    si = se
+            if keep_steps:
+                rows.extend((sb + 1e-15, loc.kind, loc.k, sa, loc.A, loc.B,
+                             lam))
             neg = p < 0.0
             p, q = loc.eval(sb)
             zeros += (p < 0.0) != neg
@@ -342,8 +355,7 @@ def propagate(l: int, r: Sequence[float], k2: Sequence[float],
                     i_logoff += _NORM_SHIFT
                     overflow = True
 
-    out = None
-    if sample_r is not None:
-        out = _sample_values(l, samp, r_eps, lam, sampled)
-    return KernelResult(p, q, i_core, i_total, i_logoff, out, overflow, zeros)
+    steps = Steps(rows.tobytes(), lam, r_eps) if keep_steps else None
+    return KernelResult(p, q, i_core, i_total, i_logoff, steps, overflow,
+                        zeros)
 

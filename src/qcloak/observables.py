@@ -4,11 +4,14 @@ and sampled wave fields.
 Every system is free (sigma = a = 1, V = 0) at the outer sphere
 r = R_OUTER, so the log-derivative there carries a channel's whole
 far-field content: phase shifts and DN values are both matched at R_OUTER.
-`phase_shifts` and `dn_spectrum` read their channels from the system's
-outer-sphere table (`propagate.outer_sphere_solutions`), so a pair of calls
-at one (system, E) solves each channel once.  `dn_spectrum` refuses an
-energy whose boundary value falls below `U_THRESHOLD` in some channel,
-before it solves any higher channel.  A non-finite E raises DomainError
+`phase_shifts`, `dn_spectrum` and `plane_wave_field` read their channels
+from the system's outer-sphere table (`propagate.outer_sphere_solutions`),
+so calls at one (system, E) solve each channel once; a field samples the
+table's step tables, and a channel that the table holds without one is
+marched once more, with steps.  `radial_mode`, at an almost-eigenvalue
+energy of its own, solves directly and leaves the table alone.
+`dn_spectrum` refuses an energy whose boundary value falls below
+`U_THRESHOLD` in some channel, before it solves any higher channel.  A non-finite E raises DomainError
 and an l_max that is not an integer in [0, L_MAX_SUPPORTED] raises
 ConfigurationError.
 
@@ -32,8 +35,12 @@ from .media import R_OUTER
 from .propagate import (
     ChannelSolution,
     System,
+    _sample_radii,
+    _sample_u,
+    _table_channels,
     checked_l_max,
     outer_sphere_solutions,
+    shell_stack,
     solve_channel,
 )
 from .special import _sph_jy_orders_array, spherical_bessel
@@ -200,9 +207,11 @@ def plane_wave_field(system: System, E: float, points,
     `points` is an (n, 2) array of (r, cos_theta) with theta measured from
     the incidence direction.  The channel radial factors are the regular
     solutions normalized so the far field is e^{ikz} + outgoing; points on a
-    shell boundary are evaluated from the inner side.  Each channel is solved
-    once: the sampled solve also yields delta_l at R_OUTER and the free pair
-    there that scales the interior samples.  Beyond R_OUTER the field is the
+    shell boundary are evaluated from the inner side.  Channels come from
+    the system's outer-sphere table, with the step table of each when some
+    point lies inside R_OUTER: one march per channel at (system, E) serves
+    every later field there, and its delta_l at R_OUTER and the free pair
+    there scale the interior samples.  Beyond R_OUTER the field is the
     free continuation, from j_l and y_l of every order at once
     (`special._sph_jy_orders_array`).  Points not shaped (n, 2), a
     negative, NaN or infinite r, or |cos theta| > 1 raise DomainError.
@@ -225,20 +234,19 @@ def plane_wave_field(system: System, E: float, points,
     inside = r <= R_OUTER
     r_in = r[inside]
     order = np.argsort(r_in)
-    sample_r = r_in[order] if r_in.size else None
+    sample_r = _sample_radii(r_in[order], shell_stack(system).edges[-1])
     j_out, y_out = _sph_jy_orders_array(l_max, k * r[~inside])
     pl = legendre_values(l_max, mu)
     psi = np.zeros(len(r), dtype=complex)
-    for l in range(l_max + 1):
-        sol = solve_channel(system, l, E, want_norms=False,
-                            sample_r=sample_r)
+    for sol, steps in _table_channels(system, E, l_max, r_in.size > 0):
+        l = sol.l
         d, s = _match_delta(sol, k)
         # the free channel factor e^{i delta}(cos delta j_l - sin delta y_l)
         phase, c, sn = cmath.exp(1j * d), math.cos(d), math.sin(d)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
             u = np.empty_like(r_in)
-            u[order] = sol.sample_u
+            u[order] = _sample_u(sol, steps, sample_r)
             radial[inside] = u * (phase * (c * s.j - sn * s.y))
         radial[~inside] = phase * (c * j_out[l] - sn * y_out[l])
         psi += (1j ** l) * (2 * l + 1) * radial * pl[l]

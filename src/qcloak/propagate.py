@@ -14,23 +14,32 @@ channel that is not an integer in [0, `special.L_MAX_SUPPORTED`] raises
 `L_MARGIN` channels.
 
 Beside the stack, each system keeps one outer-sphere table: the unnormed
-solves of channels 0..L at the last energy E it was asked for.
+solves of channels 0..L at the last energy E it was asked for, and the
+step table of each channel a field has sampled.
 `observables.phase_shifts` and `observables.dn_spectrum` read their
-channels from it through `outer_sphere_solutions`, so a pair of calls at
-one (system, E) marches each channel once.  A larger l_max extends the
-table and a new E replaces it; either way a new immutable tuple is
-published in one store, so threads sharing a system never see a half-built
-table.
+channels from it through `outer_sphere_solutions`, and
+`observables.plane_wave_field` reads channels with their step tables, so
+calls at one (system, E) march each channel once, or twice when a field
+follows the phase shifts: a channel solved without steps is marched again
+with them.  A larger l_max extends the table and a new E replaces it;
+either way a new immutable tuple is published in one store, so threads
+sharing a system never see a half-built table.
+
+A kernel march takes no samples.  `solve_channel(..., sample_r=)` marches
+with `keep_steps` and then evaluates its samples from the step table
+(`_sample_u`, through the kernel's `sample`), as a field does from the
+table's steps.
 
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable and was built from the `_kernel.c` beside it (`_current_build`),
 else the pure-Python twin `qcloak._kernel_py`; set QCLOAK_PURE_PYTHON=1 to
-force the fallback.  Both expose the same one entry, `propagate(l, r, k2,
-w, want_norms=True, sample_r=None)`, and are interchangeable; the twin is
-also the reference the compiled kernel is tested against.  A solve keeps the boundary state at r_max and nothing per
-shell: phase shifts and DN values are matched at `media.R_OUTER`, where
-every system is free.
+force the fallback.  Both expose the same entries, `propagate(l, r, k2,
+w, want_norms=True, keep_steps=False)` and `sample(l, steps, sample_r)`,
+and are interchangeable; the twin is also the reference the compiled
+kernel is tested against.  A solve keeps the boundary state at r_max and
+nothing per shell: phase shifts and DN values are matched at
+`media.R_OUTER`, where every system is free.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -242,6 +251,17 @@ class ChannelSolution:
 
 
 def _solve(edges, k2, w, l, E, want_norms, sample_r):
+    """`solve_channel` on a stack's edges, k^2 at E and weights."""
+    if sample_r is None:
+        return _march(edges, k2, w, l, E, want_norms)[0]
+    sol, steps = _march(edges, k2, w, l, E, want_norms, True)
+    sr = _sample_radii(sample_r, edges[-1])
+    return replace(sol, sample_u=tuple(_sample_u(sol, steps, sr).tolist()))
+
+
+def _march(edges, k2, w, l, E, want_norms, keep_steps=False):
+    """(ChannelSolution, the march's step table or None) of one kernel
+    march; the solution has no samples."""
     try:
         _checked_channel_cap(l)
     except ConfigurationError:
@@ -251,19 +271,9 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got E = {E}")
     r_max = edges[-1]
-    samp = None
-    if sample_r is not None:
-        sr = np.asarray(sample_r, dtype=float)
-        if not np.isfinite(sr).all():
-            raise DomainError("sample radii must be finite")
-        # min(max(s, 0), r_max) per element, keeping the sign of a -0.0
-        sr = np.where(r_max < sr, r_max, np.where(0.0 > sr, 0.0, sr))
-        if np.any(sr[1:] < sr[:-1]):
-            raise DomainError("sample radii must be sorted ascending")
-        samp = sr.tolist()
     # by keyword: perfbench's tracer reads the kernel's arguments by name
     res = _impl.propagate(l, edges, k2, w, want_norms=want_norms,
-                          sample_r=samp)
+                          keep_steps=keep_steps)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
         # for high l at tiny E: j_l underflows at the end of the first
         # substep, so scaling it to a unit state overflows, or a later
@@ -280,24 +290,38 @@ def _solve(edges, k2, w, l, E, want_norms, sample_r):
         log_total = (math.log(max(res.i_total, _TINY)) + res.i_logoff
                      + 2.0 * math.log(r_max) - 2.0 * math.log(pa))
         conc = res.i_core / res.i_total if res.i_total > 0.0 else 0.0
-    sample_u = None
-    if samp is not None:
-        if res.p3 != 0.0:
-            # samples below the kernel's start radius were evaluated there,
-            # so the u = v/rho conversion must use the same radius
-            r_eps = min(_kernel_py._EPS_ORIGIN, 0.5 * edges[1])
-            # an overflow gives inf without a warning, as float division did
-            with np.errstate(over="ignore"):
-                u = (np.asarray(res.samples, dtype=float) * r_max
-                     / (np.maximum(sr, r_eps) * res.p3))
-            sample_u = tuple(u.tolist())
-        else:
-            sample_u = (math.inf,) * len(samp)
     return ChannelSolution(
         l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
-        concentration=conc, zeros=res.zeros, overflow=res.overflow,
-        sample_u=sample_u)
+        concentration=conc, zeros=res.zeros,
+        overflow=res.overflow), res.steps
+
+
+def _sample_radii(sample_r, r_max: float) -> np.ndarray:
+    """sample_r clamped to [0, r_max] as a float array; a non-finite or
+    unsorted radius raises DomainError."""
+    sr = np.asarray(sample_r, dtype=float)
+    if not np.isfinite(sr).all():
+        raise DomainError("sample radii must be finite")
+    # min(max(s, 0), r_max) per element, keeping the sign of a -0.0
+    sr = np.where(r_max < sr, r_max, np.where(0.0 > sr, 0.0, sr))
+    if np.any(sr[1:] < sr[:-1]):
+        raise DomainError("sample radii must be sorted ascending")
+    return sr
+
+
+def _sample_u(sol: ChannelSolution, steps, sr: np.ndarray) -> np.ndarray:
+    """u(rho)/u(r_max) at the radii sr of `_sample_radii`, from the step
+    table of the march that gave sol."""
+    if sol.p_end == 0.0:
+        return np.full(len(sr), math.inf)
+    v = _impl.sample(sol.l, steps, sr.tolist())
+    # samples below the kernel's start radius were evaluated there, so the
+    # u = v/rho conversion uses the same radius; an overflow gives inf
+    # without a warning, as float division did
+    with np.errstate(over="ignore"):
+        return (np.asarray(v, dtype=float) * sol.r_max
+                / (np.maximum(sr, steps.r_eps) * sol.p_end))
 
 
 def solve_channel(system: System, l: int, E: float, want_norms: int = True,
@@ -314,7 +338,9 @@ def solve_channel(system: System, l: int, E: float, want_norms: int = True,
     which makes the solve exactly gauge-equivalent to the acoustic one.
 
     want_norms is False, True or CORE_ONLY (the core mass alone, for callers
-    that read only ``log_norm_core``).
+    that read only ``log_norm_core``).  With sample_r (sorted ascending;
+    radii are clamped to [0, r_max]) the march keeps its step table and
+    ``sample_u`` is read from it.
     """
     st = shell_stack(system)
     return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
@@ -360,19 +386,42 @@ def outer_sphere_solutions(system: System, E: float,
     are solved one at a time, when the caller asks for them, so a caller
     that stops at a channel (`dn_spectrum` at a Dirichlet eigenvalue)
     solves nothing above it.  A new E replaces the table.  Each solve
-    publishes a new immutable (key, solutions) tuple in one store, so a
-    concurrent caller reads either the old table or the new one, never a
-    half-built or misindexed one.  E and l_max are checked by
+    publishes a new immutable (key, solutions, steps) tuple in one store,
+    so a concurrent caller reads either the old table or the new one, never
+    a half-built or misindexed one.  E and l_max are checked by
     `checked_l_max` when the first channel is read.
     """
+    for sol, _ in _table_channels(system, E, l_max, False):
+        yield sol
+
+
+def _table_channels(system: System, E: float, l_max: Optional[int],
+                    keep_steps: bool) -> Iterator[tuple]:
+    """(solution, step table or None) of channels 0..l_max at E from the
+    outer-sphere table, as `outer_sphere_solutions` reads them.  With
+    keep_steps every channel comes with its step table: one the table
+    holds without steps is marched again with them and its entry
+    replaced (the march's other results do not depend on keeping steps).
+    Tables that no field asked for keep no steps."""
     l_max = checked_l_max(E, l_max)
     # keyed by the kernel too, so that a kernel swapped in (as the tests
     # do) never reads another kernel's table; a name keeps it picklable
     key = (_impl.__name__, E)
     table = system.__dict__.get("_outer_table")
-    sols = table[1] if table is not None and table[0] == key else ()
-    yield from sols[:l_max + 1]
-    for l in range(len(sols), l_max + 1):
-        sols += (solve_channel(system, l, E, want_norms=False),)
-        system.__dict__["_outer_table"] = (key, sols)
-        yield sols[l]
+    if table is None or table[0] != key:
+        table = (key, (), ())
+    for l in range(l_max + 1):
+        _, sols, steps = table
+        if l < len(sols) and (steps[l] is not None or not keep_steps):
+            yield sols[l], steps[l]
+            continue
+        if keep_steps:
+            st = shell_stack(system)
+            sol, step = _march(st.edges, st.k2(E), st.w, l, E, False, True)
+        else:
+            # through solve_channel, which perfbench's tracer counts
+            sol, step = solve_channel(system, l, E, want_norms=False), None
+        table = (key, sols[:l] + (sol,) + sols[l + 1:],
+                 steps[:l] + (step,) + steps[l + 1:])
+        system.__dict__["_outer_table"] = table
+        yield sol, step

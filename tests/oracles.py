@@ -11,9 +11,12 @@ array builders (`_acoustic_arrays`, `_schrodinger_arrays`,
 count replaced; `_amplification`, the fully normed core response that
 the core-only solve replaced; and `per_sample_propagate` and
 `per_sample_solve`, the kernel march and solve that evaluated and converted
-field samples one at a time, which the array pass replaced; and
-`per_channel_phase_shifts` and `per_channel_dn_spectrum`, which solved
-every channel on its own in each call, before the outer-sphere table; and
+field samples one at a time, which the array pass replaced
+(`PerSampleKernel` puts that march behind the kernels' split entries,
+`propagate(..., keep_steps=)` and `sample`); and
+`per_channel_phase_shifts`, `per_channel_dn_spectrum` and
+`per_channel_plane_wave_field`, which solved every channel on its own in
+each call, before the outer-sphere table; and
 `per_node_mollify_medium` and `per_node_gauge_potential`, the scalar bump
 smoothing (`_SmoothedProfile`) and the per-node loops that the array pass
 replaced, kept verbatim.
@@ -25,7 +28,7 @@ import bisect
 import cmath
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,10 +45,10 @@ from qcloak.media import (_EDGE_TOL, _G4_NODES, _G4_WEIGHTS, R_OUTER,
                           CorePotential, LayeredMedium, PotentialShell,
                           RadialPotential, Shell)
 from qcloak.observables import (U_THRESHOLD, DNSpectrum, PhaseShifts,
-                                _far_field_k, _match_delta)
+                                _far_field_k, _match_delta, legendre_values)
 from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
                               default_l_max, solve_channel)
-from qcloak.special import L_MAX_SUPPORTED
+from qcloak.special import L_MAX_SUPPORTED, _sph_jy_orders_array
 from qcloak.spectral import classify
 
 
@@ -440,13 +443,25 @@ def overflowing_stack(n_barrier: int = 25, kappa: float = 150.0):
 # which is the kernel's `_norm` (the C library's hypot), and the start,
 # which is the kernel's: the first substep takes the regular member alone
 # (`_Local`'s `end`).  This march is a reference for the sample pass, not
-# for the norm or the start.
+# for the norm or the start.  Its result is the former `KernelResult`, with
+# the samples where the step table now is.
+
+class SampledResult(NamedTuple):
+    p3: float
+    q3: float
+    i_core: float
+    i_total: float
+    i_logoff: float
+    samples: Optional[list]
+    overflow: bool
+    zeros: int
+
 
 def per_sample_propagate(l: int, r: Sequence[float],
                          k2: Sequence[float], w: Sequence[float],
                          want_norms: int = True,
                          sample_r: Optional[Sequence[float]] = None
-                         ) -> KernelResult:
+                         ) -> SampledResult:
     """The former `_kernel_py.propagate`."""
     if want_norms not in (False, True, CORE_ONLY):
         raise ValueError(f"want_norms must be False, True or CORE_ONLY "
@@ -530,11 +545,29 @@ def per_sample_propagate(l: int, r: Sequence[float],
     if sample_r is not None:
         out = [val * math.exp(min(sl - lam, 700.0))
                for val, sl in zip(samples, samp_lam)]
-    return KernelResult(p, q, i_core, i_total, i_logoff, out, overflow, zeros)
+    return SampledResult(p, q, i_core, i_total, i_logoff, out, overflow,
+                         zeros)
 
 
-def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
-    """The former `propagate._solve` on the kernel function `propagate`."""
+class PerSampleKernel:
+    """`per_sample_propagate` behind the kernels' split entries: the "step
+    table" of a march is its input, and `sample` marches again, evaluating
+    each sample inside the march as the former kernel did."""
+
+    @staticmethod
+    def propagate(l, r, k2, w, want_norms=True, keep_steps=False):
+        res = per_sample_propagate(l, r, k2, w, want_norms)
+        steps = (r, k2, w, want_norms) if keep_steps else None
+        return KernelResult(*res[:5], steps, *res[6:])
+
+    @staticmethod
+    def sample(l, steps, sample_r):
+        return per_sample_propagate(l, *steps, sample_r=sample_r).samples
+
+
+def per_sample_solve(kernel, edges, k2, w, l, E, want_norms, sample_r):
+    """The former `propagate._solve` on a kernel's march with steps and
+    its `sample`, converting the samples one at a time."""
     if l < 0 or l > L_MAX_SUPPORTED:
         raise ConfigurationError(
             f"channel l={l} outside [0, {L_MAX_SUPPORTED}]")
@@ -546,7 +579,8 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
         samp = [min(max(float(s), 0.0), r_max) for s in sample_r]
         if any(b < a for a, b in zip(samp, samp[1:])):
             raise DomainError("sample radii must be sorted ascending")
-    res = propagate(l, edges, k2, w, want_norms=want_norms, sample_r=samp)
+    res = kernel.propagate(l, edges, k2, w, want_norms=want_norms,
+                           keep_steps=samp is not None)
     if not (math.isfinite(res.p3) and math.isfinite(res.q3)):
         # the regular start overflows for high l where x = k*rho is tiny
         raise DomainError(
@@ -566,10 +600,11 @@ def per_sample_solve(propagate, edges, k2, w, l, E, want_norms, sample_r):
         # samples below the kernel's start radius were evaluated there, so
         # the u = v/rho conversion must use the same radius
         r_eps = min(1e-6, 0.5 * edges[1])
+        samples = kernel.sample(l, res.steps, samp)
         sample_u = tuple(
             sv * r_max / (max(sr, r_eps) * res.p3) if res.p3 != 0.0
             else math.inf
-            for sv, sr in zip(res.samples, samp))
+            for sv, sr in zip(samples, samp))
     return ChannelSolution(
         l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
@@ -605,6 +640,40 @@ def per_channel_dn_spectrum(system: System, E: float,
                 f"l = {l}", l=l, E=E)
         lam.append(sol.log_derivative_end)
     return DNSpectrum(E, tuple(lam))
+
+
+def per_channel_plane_wave_field(system: System, E: float, points,
+                                 l_max: Optional[int] = None) -> np.ndarray:
+    """The former `observables.plane_wave_field`: each call solves every
+    channel with the interior points as samples (`solve_channel`, so a
+    patched `propagate._solve` serves it)."""
+    pts = np.asarray(points, dtype=float)
+    r = pts[:, 0]
+    mu = pts[:, 1]
+    k = _far_field_k(E)
+    if l_max is None:
+        l_max = default_l_max(E)
+
+    inside = r <= R_OUTER
+    r_in = r[inside]
+    order = np.argsort(r_in)
+    sample_r = r_in[order] if r_in.size else None
+    j_out, y_out = _sph_jy_orders_array(l_max, k * r[~inside])
+    pl = legendre_values(l_max, mu)
+    psi = np.zeros(len(r), dtype=complex)
+    for l in range(l_max + 1):
+        sol = solve_channel(system, l, E, want_norms=False,
+                            sample_r=sample_r)
+        d, s = _match_delta(sol, k)
+        phase, c, sn = cmath.exp(1j * d), math.cos(d), math.sin(d)
+        radial = np.empty(len(r), dtype=complex)
+        if r_in.size:
+            u = np.empty_like(r_in)
+            u[order] = sol.sample_u
+            radial[inside] = u * (phase * (c * s.j - sn * s.y))
+        radial[~inside] = phase * (c * j_out[l] - sn * y_out[l])
+        psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
+    return psi
 
 
 # --- the former scalar mollification: one radius at a time -----------------

@@ -247,17 +247,15 @@ class TestRadialModeEdgeCases:
 
 
 class TestSampledFieldsBitwise:
-    """Fields from sampled solves equal those through the former solve,
+    """Fields sampled from step tables equal those of the former field,
+    which solved each channel with its samples, through the former solve,
     which evaluated and converted each sample on its own, bit for bit."""
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_fields_match_per_sample_solves(self, cloak_builder, backend,
                                             request, monkeypatch):
-        if backend == "python":
-            kernel, former = _kernel_py, oracles.per_sample_propagate
-        else:
-            kernel = request.getfixturevalue("compiled_kernel")
-            former = kernel.propagate
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
         monkeypatch.setattr(propagate, "_impl", kernel)
         rng = np.random.default_rng(7)
         r = np.concatenate([[0.0, 1.0, 1.0 + 1e-15, 3.0],
@@ -265,18 +263,18 @@ class TestSampledFieldsBitwise:
         pts = np.column_stack([r, rng.uniform(-1.0, 1.0, r.size)])
         radii = np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.5, 40)])
 
-        def fields():
+        def fields(field):
             out = []
             for c_inn in (-98.5, 1.858, -71.45):
                 system = cloak_builder(1.005, 50, c_inn)
-                out.append(qc.plane_wave_field(system, E0, pts, l_max=12))
+                out.append(field(system, E0, pts, l_max=12))
                 out.append(qc.radial_mode(system, 0, 0.44738, radii))
             return [a.tobytes() for a in out]
 
-        ours = fields()
+        ours = fields(qc.plane_wave_field)
         monkeypatch.setattr(propagate, "_solve", lambda *args: oracles.
-                            per_sample_solve(former, *args))
-        assert fields() == ours
+                            per_sample_solve(oracles.PerSampleKernel, *args))
+        assert fields(oracles.per_channel_plane_wave_field) == ours
 
 
 REFERENCE_C_INN = {"pass-through": -98.5, "neumann-trap": -71.45}
@@ -489,9 +487,10 @@ class TestOuterSphereTable:
                 assert len(results) == 8 * len(requests)
                 for key, got in results:
                     assert got == serial[key], key
-                key, sols = shared.__dict__["_outer_table"]
+                key, sols, steps = shared.__dict__["_outer_table"]
                 assert [s.l for s in sols] == list(range(len(sols)))
                 assert all(s.E == key[-1] for s in sols)
+                assert steps == (None,) * len(sols)
         finally:
             sys.setswitchinterval(interval)
 
@@ -518,33 +517,45 @@ class TestOuterSphereTable:
         assert qc.phase_shifts(free_medium, E0, np.int64(3)).l_max == 3
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """(l, keep_steps) of every kernel march, in call order, spied on the
+    hook perfbench's tracer wraps."""
+    calls = []
+    real = propagate._impl.propagate
+
+    def spy(*args, **kw):
+        calls.append((args[0], kw.get("keep_steps", False)))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(propagate._impl, "propagate", spy)
+    return calls
+
+
 class TestPlaneWaveFieldSolvesOnce:
     L_MAX = 12
 
     @pytest.fixture
-    def spies(self, monkeypatch):
-        """Record every channel solve and every matched delta_l made through
+    def spies(self, marches, monkeypatch):
+        """Record every kernel march and every matched delta_l made through
         the observables module."""
-        solves, deltas = [], []
-        solve, match = observables.solve_channel, observables._match_delta
-
-        def spy_solve(system, l, E, **kw):
-            solves.append((l, kw.get("sample_r") is not None))
-            return solve(system, l, E, **kw)
+        deltas = []
+        match = observables._match_delta
 
         def spy_match(sol, k):
             delta, pair = match(sol, k)
             deltas.append(delta)
             return delta, pair
 
-        monkeypatch.setattr(observables, "solve_channel", spy_solve)
         monkeypatch.setattr(observables, "_match_delta", spy_match)
-        return solves, deltas
+        return marches, deltas
 
     @pytest.mark.parametrize("where,sampled", [
         ("mixed", True), ("interior", True), ("exterior", False)])
     def test_one_solve_per_channel(self, cloak_builder, spies, where,
                                    sampled):
+        # after the phase shifts, a field with interior points marches each
+        # channel once more, with steps; one without reads the table alone
         system = cloak_builder(1.005, 50, -98.5)
         expected = qc.phase_shifts(system, E0, l_max=self.L_MAX).delta
         solves, deltas = spies
@@ -556,7 +567,8 @@ class TestPlaneWaveFieldSolvesOnce:
         pts = np.column_stack([rng.uniform(lo, hi, 30),
                                rng.uniform(-1.0, 1.0, 30)])
         qc.plane_wave_field(system, E0, pts, l_max=self.L_MAX)
-        assert solves == [(l, sampled) for l in range(self.L_MAX + 1)]
+        assert solves == ([(l, True) for l in range(self.L_MAX + 1)]
+                          if sampled else [])
         assert tuple(deltas) == expected
 
     def test_rejects_nonpropagating_energy(self, free_medium):
@@ -564,6 +576,128 @@ class TestPlaneWaveFieldSolvesOnce:
         for E in (0.0, -1.0):
             with pytest.raises(DomainError):
                 qc.plane_wave_field(free_medium, E, pts)
+
+
+def field_map_jobs(seed, n_jobs):
+    """(system name, slice points, segment points) of seeded jobs in the
+    manner of perfbench's field-map: a 12 x 12 slice through the cloak and
+    a 60-point segment from the origin, as (r, cos theta) rows."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_jobs):
+        h = rng.uniform(3.8, 4.2)
+        u = np.linspace(-h, h, 12)
+        U, V = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+        cx, cz = rng.uniform(-0.3, 0.3, 2)
+        angle = rng.uniform(0.0, math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        t = np.linspace(0.0, rng.uniform(3.5, 4.5), 60)
+        seg = rng.uniform(0.0, math.pi)
+        out = []
+        for x, z in ((cx + c * U - s * V, cz + s * U + c * V),
+                     (t * math.sin(seg), t * math.cos(seg))):
+            r = np.hypot(x, z)
+            mu = np.divide(z, r, out=np.ones_like(r), where=r > 0)
+            out.append(np.column_stack([r, np.clip(mu, -1.0, 1.0)]))
+        yield ("pass-through", "neumann-trap")[i % 2], out[0], out[1]
+
+
+class TestFieldsFromTheTable:
+    """`plane_wave_field` samples step tables kept in the outer-sphere
+    table: one march per channel serves every field at (system, E)."""
+
+    L_MAX = 10
+    C_INN = {"pass-through": -98.5, "neumann-trap": -71.45}
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_warm_fields_equal_fresh_ones(self, cloak_builder, backend,
+                                          request, monkeypatch):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        warm = {name: cloak_builder(1.005, 50, c)
+                for name, c in self.C_INN.items()}
+
+        def fresh(name, pts):
+            return pickle.dumps(qc.plane_wave_field(
+                cloak_builder(1.005, 50, self.C_INN[name]), E0, pts))
+
+        for name, slice_pts, segment_pts in field_map_jobs(2024, 6):
+            # slice then segment on shared systems, as field-map's jobs do
+            for pts in (slice_pts, segment_pts):
+                assert pickle.dumps(qc.plane_wave_field(
+                    warm[name], E0, pts)) == fresh(name, pts)
+        _, slice_pts, segment_pts = next(field_map_jobs(7, 1))
+        # segment then slice
+        system = cloak_builder(1.005, 50, -98.5)
+        for pts in (segment_pts, slice_pts):
+            assert pickle.dumps(qc.plane_wave_field(system, E0, pts)) == \
+                fresh("pass-through", pts)
+        # the phase shifts (and DN values) first, then the field
+        system = cloak_builder(1.005, 50, -71.45)
+        ps = qc.phase_shifts(system, E0)
+        qc.dn_spectrum(system, E0, 8)
+        assert pickle.dumps(qc.plane_wave_field(system, E0, slice_pts)) == \
+            fresh("neumann-trap", slice_pts)
+        assert qc.phase_shifts(system, E0) == ps
+
+    def points(self, seed=3):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(0.0, 5.0, 40),
+                                rng.uniform(-1.0, 1.0, 40)])
+
+    def test_two_fields_march_each_channel_once(self, cloak_builder,
+                                                marches):
+        system = cloak_builder(1.005, 50, -98.5)
+        qc.plane_wave_field(system, E0, self.points(1), self.L_MAX)
+        qc.plane_wave_field(system, E0, self.points(2), self.L_MAX)
+        assert marches == [(l, True) for l in range(self.L_MAX + 1)]
+        # and the phase shifts and DN values after them march nothing
+        qc.phase_shifts(system, E0, self.L_MAX)
+        qc.dn_spectrum(system, E0, self.L_MAX)
+        assert len(marches) == self.L_MAX + 1
+
+    def test_phase_shifts_then_field_remarch_each_channel_once(
+            self, cloak_builder, marches):
+        system = cloak_builder(1.005, 50, -98.5)
+        qc.phase_shifts(system, E0, self.L_MAX)
+        qc.plane_wave_field(system, E0, self.points(), self.L_MAX)
+        qc.plane_wave_field(system, E0, self.points(4), self.L_MAX)
+        channels = list(range(self.L_MAX + 1))
+        assert marches == ([(l, False) for l in channels]
+                           + [(l, True) for l in channels])
+        # a larger l_max marches only the new channels, with steps
+        marches.clear()
+        qc.plane_wave_field(system, E0, self.points(), self.L_MAX + 2)
+        assert marches == [(self.L_MAX + 1, True), (self.L_MAX + 2, True)]
+
+    def test_new_energy_replaces_the_table(self, cloak_builder, marches):
+        system = cloak_builder(1.005, 50, -98.5)
+        qc.plane_wave_field(system, E0, self.points(), self.L_MAX)
+        qc.plane_wave_field(system, 0.3, self.points(), self.L_MAX)
+        key, sols, steps = system.__dict__["_outer_table"]
+        assert key[-1] == 0.3 and {s.E for s in sols} == {0.3}
+        assert None not in steps
+        qc.plane_wave_field(system, E0, self.points(), self.L_MAX)
+        assert marches == [(l, True) for l in range(self.L_MAX + 1)] * 3
+
+    def test_radial_mode_leaves_the_table(self, cloak_builder, marches):
+        system = cloak_builder(1.005, 50, -71.45)
+        qc.plane_wave_field(system, E0, self.points(), self.L_MAX)
+        table = system.__dict__["_outer_table"]
+        marches.clear()
+        qc.radial_mode(system, 0, 0.44738, np.linspace(0.0, 3.0, 50))
+        assert marches == [(0, True)]
+        assert system.__dict__["_outer_table"] is table
+
+    def test_phase_shifts_and_dn_keep_no_steps(self, cloak_builder):
+        system = cloak_builder(1.005, 50, -98.5)
+        qc.phase_shifts(system, E0, self.L_MAX)
+        qc.dn_spectrum(system, E0, self.L_MAX + 3)
+        # an exterior-only field samples nothing, so it keeps none either
+        qc.plane_wave_field(system, E0, [[4.0, 0.5]], self.L_MAX + 4)
+        key, sols, steps = system.__dict__["_outer_table"]
+        assert len(sols) == self.L_MAX + 5
+        assert steps == (None,) * len(sols)
 
 
 class TestLegendre:

@@ -52,12 +52,29 @@ def kernel_stacks(draw):
 
 def assert_kernels_agree(a, b):
     """Compiled result a equals the Python twin's b bit for bit, field by
-    field.  float.hex tells 0.0 from -0.0 and reads every NaN as 'nan', so
-    a NaN on one backend must be a NaN on the other."""
+    field, a step table's rows byte for byte.  float.hex tells 0.0 from
+    -0.0 and reads every NaN as 'nan', so a NaN on one backend must be a
+    NaN on the other."""
     def hexed(result):
         return [bits(f) if isinstance(f, list) else
+                hexed(f) if isinstance(f, _kernel_py.Steps) else
                 f.hex() if isinstance(f, float) else f for f in result]
     assert hexed(a) == hexed(b)
+
+
+def assert_split_kernels_agree(kernel, l, r, k2, w, want_norms, sample_r):
+    """`kernel` (compiled) and the twin give the same march, step table and
+    samples bit for bit; the march without steps gives the same results."""
+    ours = _kernel_py.propagate(l, r, k2, w, want_norms=want_norms,
+                                keep_steps=True)
+    assert_kernels_agree(kernel.propagate(l, r, k2, w, want_norms=want_norms,
+                                          keep_steps=True), ours)
+    assert_kernels_agree(kernel.propagate(l, r, k2, w, want_norms=want_norms),
+                         ours._replace(steps=None))
+    if sample_r is not None:
+        assert bits(kernel.sample(l, ours.steps, sample_r)) == \
+            bits(_kernel_py.sample(l, ours.steps, sample_r))
+    return ours
 
 
 @st.composite
@@ -385,9 +402,8 @@ class TestKernelInternals:
             w = list(rng.uniform(0.1, 8.0, n - 1)) + [1.0]
             samp = list(np.linspace(0.05, 3.0, 13))
             for l in (0, 3, 11):
-                assert_kernels_agree(
-                    compiled_kernel.propagate(l, edges, k2, w, True, samp),
-                    _kernel_py.propagate(l, edges, k2, w, True, samp))
+                assert_split_kernels_agree(compiled_kernel, l, edges, k2, w,
+                                           True, samp)
 
     def test_compiled_matches_python_on_reference_cloaks(
             self, compiled_kernel, cloak_builder):
@@ -412,9 +428,8 @@ class TestKernelInternals:
                                                       args):
         l, r, k2, w, sample_r = args
         for want_norms in (False, True, CORE_ONLY):
-            call = (l, r, k2, w, want_norms, sample_r)
-            ours = _kernel_py.propagate(*call)
-            assert_kernels_agree(compiled_kernel.propagate(*call), ours)
+            ours = assert_split_kernels_agree(compiled_kernel, l, r, k2, w,
+                                              want_norms, sample_r)
         # v starts positive and every zero flips its sign
         if ours.p3 != 0.0 and math.isfinite(ours.p3):
             assert (ours.p3 < 0.0) == (ours.zeros % 2 == 1)
@@ -438,9 +453,8 @@ class TestKernelInternals:
             args = (int(rng.integers(0, 61)), r.tolist(), k2.tolist(),
                     w.tolist())
             for want_norms in (False, True, CORE_ONLY):
-                call = (*args, want_norms, sample_r.tolist())
-                assert_kernels_agree(compiled_kernel.propagate(*call),
-                                     _kernel_py.propagate(*call))
+                assert_split_kernels_agree(compiled_kernel, *args, want_norms,
+                                           sample_r.tolist())
                 calls += 1
         assert calls >= 3000
 
@@ -558,28 +572,32 @@ def sampled_systems(cloak_builder):
 
 
 class TestSampleArrayPass:
-    """Samples evaluated in one array pass after the march equal the former
-    evaluation, one `_Local.value` call per sample, bit for bit."""
+    """Samples evaluated from a march's step table, in one array pass (the
+    twin) or one loop (C), equal the former evaluation inside the march,
+    one `_Local.eval` call per sample, bit for bit."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(args=kernel_stacks())
     def test_python_kernel_matches_per_sample_march(self, args):
+        # the compiled kernel's steps and samples equal the twin's
+        # (`assert_split_kernels_agree`)
         l, r, k2, w, sample_r = args
         for want_norms in (False, True):
-            call = (l, r, k2, w, want_norms, sample_r)
-            assert pickle.dumps(_kernel_py.propagate(*call)) == \
-                pickle.dumps(oracles.per_sample_propagate(*call))
+            res = _kernel_py.propagate(l, r, k2, w, want_norms=want_norms,
+                                       keep_steps=True)
+            samples = (None if sample_r is None
+                       else _kernel_py.sample(l, res.steps, sample_r))
+            assert pickle.dumps(oracles.SampledResult(
+                *res[:5], samples, *res[6:])) == pickle.dumps(
+                    oracles.per_sample_propagate(l, r, k2, w, want_norms,
+                                                 sample_r))
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_solves_pickle_identical(self, sampled_systems, backend,
                                      request, monkeypatch):
-        """The python backend against the former march and solve; the
-        compiled one, whose march is unchanged, against the former solve."""
-        if backend == "python":
-            kernel, former = _kernel_py, oracles.per_sample_propagate
-        else:
-            kernel = request.getfixturevalue("compiled_kernel")
-            former = kernel.propagate
+        """Either backend against the former march and solve."""
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
         monkeypatch.setattr(propagate, "_impl", kernel)
         assert _kernel_py._use_power(
             shell_stack(sampled_systems["power-law shell"]).k2(E0)[1],
@@ -594,7 +612,8 @@ class TestSampleArrayPass:
                         ours = outcome(qc.solve_channel, system, l, E,
                                        want_norms, samp)
                         assert ours == outcome(
-                            oracles.per_sample_solve, former, stack.edges,
+                            oracles.per_sample_solve,
+                            oracles.PerSampleKernel, stack.edges,
                             stack.k2(E), stack.w, l, E, want_norms, samp), \
                             (name, E, l, want_norms)
 
@@ -652,7 +671,7 @@ class TestRegularStart:
             assert all(math.isfinite(u) for u in ours.sample_u)
             assert ours.sample_u[-1] == pytest.approx(1.0, rel=1e-12)
             assert pickle.dumps(ours) == pickle.dumps(oracles.per_sample_solve(
-                oracles.per_sample_propagate, stack.edges, stack.k2(E0),
+                oracles.PerSampleKernel, stack.edges, stack.k2(E0),
                 stack.w, l, E0, True, samp))
 
 
