@@ -7,9 +7,12 @@
  * qcloak._kernel_py.KernelResult.  There are two entries, as in the twin.
  * `propagate` marches and keeps nothing per shell: the library matches at
  * the outer boundary only.  With keep_steps it writes one row per substep
- * into the bytes of a qcloak._kernel_py.Steps, and `sample` evaluates v at
- * sorted radii from those rows (sample_rows); the march itself takes no
- * samples.
+ * into the bytes of a qcloak._kernel_py.Steps, and `sample(ls, steps,
+ * sample_r)` evaluates v at sorted radii from the rows of every channel of
+ * ls, one march family (one stack at one E), channel by channel
+ * (sample_rows), into the bytes of float64 values it returns,
+ * channel-major; tables whose substeps differ raise ValueError.  The march
+ * itself takes no samples.
  * want_norms takes the twin's values: False, True, or its CORE_ONLY (read
  * from the twin at import), which integrates v^2 only inside R_CORE.
  * The march starts on the regular solution, as the twin's does: the first
@@ -24,7 +27,9 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <math.h>
+#include <string.h>
 
 #ifndef QCLOAK_SOURCE_CRC32
 #define QCLOAK_SOURCE_CRC32 ""      /* built without setup.py: unknown */
@@ -470,19 +475,6 @@ static int copy_doubles(PyObject *tuple, double *buf)
     return 0;
 }
 
-static PyObject *float_list(const double *v, Py_ssize_t n)
-{
-    PyObject *list = PyList_New(n), *item;
-    Py_ssize_t i;
-    for (i = 0; list != NULL && i < n; i++) {
-        if ((item = PyFloat_FromDouble(v[i])) == NULL)
-            Py_CLEAR(list);
-        else
-            PyList_SET_ITEM(list, i, item);
-    }
-    return list;
-}
-
 static PyObject *kernel_propagate(PyObject *self, PyObject *args,
                                   PyObject *kwargs)
 {
@@ -558,45 +550,114 @@ done:
     return res;
 }
 
+/* whether two step tables of n_rows rows share every substep's end, kind,
+ * k and start: the columns that do not depend on l */
+static int same_substeps(const double *a, const double *b, Py_ssize_t n_rows)
+{
+    Py_ssize_t j;
+    for (j = 0; j < n_rows; j++, a += STEP_COLS, b += STEP_COLS)
+        if (memcmp(a, b, 4 * sizeof(double)) != 0)
+            return 0;
+    return 1;
+}
+
 static PyObject *kernel_sample(PyObject *self, PyObject *args)
 {
-    int l;
-    double lam, r_eps, *sr = NULL;
-    PyObject *steps, *obj, *tup = NULL, *res = NULL;
-    Py_buffer rows = {NULL};
-    Py_ssize_t n_samp;
+    PyObject *ls_obj, *steps_obj, *obj, *item;
+    PyObject *ls = NULL, *steps = NULL, *tup = NULL, *res = NULL;
+    Py_buffer *rows = NULL;
+    double *meta = NULL, *sr = NULL, *v;
+    int *lv = NULL;
+    long l;
+    Py_ssize_t n_ch, n_samp, n_rows = 0, c, got = 0;
 
-    if (!PyArg_ParseTuple(args, "iO!O:sample", &l, &PyTuple_Type, &steps,
-                          &obj)
-            || !PyArg_ParseTuple(steps, "y*dd:sample", &rows, &lam, &r_eps))
+    if (!PyArg_ParseTuple(args, "OOO:sample", &ls_obj, &steps_obj, &obj))
         return NULL;
-    if (rows.len % (STEP_COLS * sizeof(double)) != 0) {
-        PyErr_Format(PyExc_ValueError, "step rows must hold a multiple of "
-                     "%d doubles, got %zd bytes", STEP_COLS, rows.len);
+    if ((ls = PySequence_Tuple(ls_obj)) == NULL
+            || (steps = PySequence_Tuple(steps_obj)) == NULL)
         goto done;
+    n_ch = PyTuple_GET_SIZE(ls);
+    if (PyTuple_GET_SIZE(steps) != n_ch) {
+        PyErr_Format(PyExc_ValueError, "need one step table per channel, "
+                     "got %zd channels and %zd tables", n_ch,
+                     PyTuple_GET_SIZE(steps));
+        goto done;
+    }
+    /* per channel: its rows, its (final log scale, start radius), its l */
+    rows = PyMem_Calloc(n_ch + 1, sizeof(Py_buffer));
+    meta = PyMem_Calloc(2 * n_ch + 1, sizeof(double));
+    lv = PyMem_Calloc(n_ch + 1, sizeof(int));
+    if (rows == NULL || meta == NULL || lv == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (c = 0; c < n_ch; c++) {
+        l = PyLong_AsLong(PyTuple_GET_ITEM(ls, c));
+        if (l == -1 && PyErr_Occurred())
+            goto done;
+        if (l < 0 || l > INT_MAX) {
+            PyErr_Format(PyExc_ValueError, "channel l=%ld is out of range",
+                         l);
+            goto done;
+        }
+        lv[c] = (int)l;
+        item = PyTuple_GET_ITEM(steps, c);
+        if (!PyTuple_Check(item)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "sample: steps must hold Steps tuples");
+            goto done;
+        }
+        if (!PyArg_ParseTuple(item, "y*dd:sample", &rows[c], &meta[2 * c],
+                              &meta[2 * c + 1]))
+            goto done;
+        got = c + 1;
+        if (rows[c].len % (STEP_COLS * sizeof(double)) != 0) {
+            PyErr_Format(PyExc_ValueError, "step rows must hold a multiple "
+                         "of %d doubles, got %zd bytes", STEP_COLS,
+                         rows[c].len);
+            goto done;
+        }
+        if (c == 0) {
+            n_rows = rows[0].len / (Py_ssize_t)(STEP_COLS * sizeof(double));
+        } else if (rows[c].len != rows[0].len || meta[2 * c + 1] != meta[1]
+                   || !same_substeps((const double *)rows[0].buf,
+                                     (const double *)rows[c].buf, n_rows)) {
+            PyErr_SetString(PyExc_ValueError, "step tables differ in their "
+                            "substeps: they must come from marches of one "
+                            "stack at one energy");
+            goto done;
+        }
     }
     if ((tup = PySequence_Tuple(obj)) == NULL)
         goto done;
     n_samp = PyTuple_GET_SIZE(tup);
-    /* one block: the radii, then the values */
-    if ((sr = PyMem_Calloc(2 * n_samp + 1, sizeof(double))) == NULL) {
+    if ((sr = PyMem_Calloc(n_samp + 1, sizeof(double))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (copy_doubles(tup, sr))
+    /* the values go straight into a bytes object that nothing else sees
+     * yet, channel-major */
+    if (copy_doubles(tup, sr) || (res = PyBytes_FromStringAndSize(NULL,
+            n_ch * n_samp * sizeof(double))) == NULL)
         goto done;
+    v = (double *)PyBytes_AS_STRING(res);
 
     Py_BEGIN_ALLOW_THREADS
-    sample_rows(l, (const double *)rows.buf,
-                rows.len / (Py_ssize_t)(STEP_COLS * sizeof(double)), lam,
-                r_eps, n_samp, sr, sr + n_samp);
+    for (c = 0; c < n_ch; c++)
+        sample_rows(lv[c], (const double *)rows[c].buf, n_rows, meta[2 * c],
+                    meta[2 * c + 1], n_samp, sr, v + c * n_samp);
     Py_END_ALLOW_THREADS
 
-    res = float_list(sr + n_samp, n_samp);
 done:
     PyMem_Free(sr);
+    for (c = 0; c < got; c++)
+        PyBuffer_Release(&rows[c]);
+    PyMem_Free(rows);
+    PyMem_Free(meta);
+    PyMem_Free(lv);
     Py_XDECREF(tup);
-    PyBuffer_Release(&rows);
+    Py_XDECREF(steps);
+    Py_XDECREF(ls);
     return res;
 }
 
@@ -607,7 +668,7 @@ static PyMethodDef kernel_methods[] = {
      "--\n\n"
      "See qcloak._kernel_py.propagate; identical contract."},
     {"sample", (PyCFunction)kernel_sample, METH_VARARGS,
-     "sample($module, l, steps, sample_r)\n"
+     "sample($module, ls, steps, sample_r)\n"
      "--\n\n"
      "See qcloak._kernel_py.sample; identical contract."},
     {NULL, NULL, 0, NULL},

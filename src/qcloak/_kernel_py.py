@@ -33,15 +33,20 @@ as the caller reads them: `want_norms=CORE_ONLY` skips every panel beyond
 Point samples for field maps never feed back into the march, so the march
 takes none.  With `keep_steps` it returns its step table instead
 (`Steps`: each substep's end, expansion and log scale), and `sample`
-evaluates v at any sorted radii from that table, in one array pass per
-kind of substep, with the array twins of the Bessel pairs in
-`qcloak.special`.  The values equal those of the scalar expansion bit for
-bit, and one table serves every point set of a channel at its energy.
+evaluates v at any sorted radii from the tables of many channels of one
+stack at one energy.  Their substeps' ends, kinds, k and starts do not
+depend on l, so the channels share the substep lookup, x = k*rho, the
+sin, cos and exp maps, the upward Bessel recurrences and one Miller run:
+one array pass per kind of substep for all channels, with the array
+twins of the Bessel pairs in `qcloak.special`.  The values equal those of
+the scalar expansion bit for bit, and one table serves every point set
+of a channel at its energy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from typing import NamedTuple, Optional, Sequence
 
@@ -180,18 +185,21 @@ class _Local:
                 self.k * (A * Fp + (B * Gp if B else 0.0)))
 
 
-def _kind_values(kind: int, l: int, rho, k, a, A, B) -> np.ndarray:
-    """v of `_Local.eval` for one kind of substep at radii rho, as arrays
-    with one element per sample: the same operations in the same order."""
+def _kind_values(kind: int, ls, rho, k, a, A, B) -> np.ndarray:
+    """v of `_Local.eval` for one kind of substep at radii rho, one row
+    per order of ls: A and B hold a row per order and every array one
+    element per sample.  The same operations in the same order; the
+    orders share x, the exp maps and the Bessel passes."""
     if kind == 0:
         t = rho / a
-        return (A * _map(lambda u: u ** (l + 1), t)
-                + B * _map(lambda u: u ** -l, t))
+        return np.array([A[o] * _map(lambda u: u ** (l + 1), t)
+                         + B[o] * _map(lambda u: u ** -l, t)
+                         for o, l in enumerate(ls)])
     x = k * rho
     if kind == 1:
-        _, j, _, y = _sph_jy_pair_array(l, x)
+        _, j, _, y = _sph_jy_pair_array(ls, x)
         return A * (x * j) + _irregular(B, -x * y)
-    _, i, _, kk = _sph_ik_pair_scaled_array(l, x)
+    _, i, _, kk = _sph_ik_pair_scaled_array(ls, x)
     d = x - k * a
     return (A * (x * i * _map(math.exp, d))
             + _irregular(B, x * kk * _map(math.exp, -d)))
@@ -205,38 +213,66 @@ def _irregular(B, G) -> np.ndarray:
     return out
 
 
-def sample(l: int, steps: Steps, sample_r: Sequence[float]) -> list:
-    """v at the radii sample_r, sorted ascending, in units of the final
-    state of the march that wrote `steps`.
+def sample(ls: Sequence[int], steps: Sequence[Steps],
+           sample_r: Sequence[float]) -> bytes:
+    """v of each channel l in ls at the radii sample_r, sorted ascending,
+    from the step table of its march, in units of that march's final
+    state: the bytes of len(ls) rows of len(sample_r) float64, one row
+    per channel in the order of ls.
 
-    A radius belongs to the first substep whose end reaches it, and one
-    below the start radius is evaluated there; radii beyond the last
-    substep read 0.
+    The tables come from marches of one stack at one energy, so they
+    share every substep's end, kind, k and start, which do not depend on
+    l; only A, B and the log scales differ.  Tables whose row counts,
+    those columns or start radii differ, or an ls whose length is not
+    that of steps, raise ValueError.  A radius belongs to the first
+    substep whose end reaches it, and one below the start radius is
+    evaluated there; radii beyond the last substep read 0.  The channels
+    share the substep lookup and each array pass of `_kind_values`.
     """
-    rows = np.frombuffer(steps.rows).reshape(-1, STEP_COLS)
+    if len(ls) != len(steps):
+        raise ValueError(f"need one step table per channel, got "
+                         f"{len(ls)} channels and {len(steps)} tables")
+    ls = [operator.index(l) for l in ls]
+    if any(l < 0 for l in ls):
+        raise ValueError(f"channels must be >= 0, got {ls}")
+    if not steps:
+        return b""
+    tables = [np.frombuffer(st.rows).reshape(-1, STEP_COLS) for st in steps]
+    rows = tables[0]
+    shared = rows[:, :4].tobytes()
+    if any(t.shape != rows.shape or t[:, :4].tobytes() != shared
+           or st.r_eps != steps[0].r_eps
+           for t, st in zip(tables[1:], steps[1:])):
+        raise ValueError("step tables differ in their substeps: they must "
+                         "come from marches of one stack at one energy")
+    # the columns each channel has of its own: A, B and the log scale
+    own = np.array([t[:, 4:] for t in tables])
     rho = np.asarray(sample_r, dtype=float)
-    out = np.zeros(len(rho))
     # samples up to each substep's end; sample_r's order makes them
     # contiguous, and the running maximum keeps the cursor from moving back
     upto = np.searchsorted(rho, np.maximum.accumulate(rows[:, 0]), "right")
     counts = np.diff(upto, prepend=0)
     n = int(upto[-1])
-    cols = np.repeat(rows[:, 1:6], counts, axis=0)
-    kind = cols[:, 0]
-    rho = np.maximum(rho[:n], steps.r_eps)
-    v = np.empty(n)
+    kind, k, a = np.repeat(rows[:, 1:4], counts, axis=0).T
+    A, B = (np.repeat(own[:, :, c], counts, axis=1) for c in (0, 1))
+    rho = np.maximum(rho[:n], steps[0].r_eps)
+    out = np.zeros((len(steps), len(sample_r)))
+    v = out[:, :n]
     # silent, as the scalar expansion's float arithmetic is: a march that
     # ends non-finite (A = inf) is refused after it
     with np.errstate(all="ignore"):
         for kd in (1, -1, 0):
             sel = kind == kd
             if sel.any():
-                v[sel] = _kind_values(kd, l, rho[sel], *cols[sel, 1:].T)
+                v[:, sel] = _kind_values(kd, ls, rho[sel], k[sel], a[sel],
+                                         A[:, sel], B[:, sel])
         # one rescale factor per substep, as its samples share its scale
-        scale = [math.exp(min(sl - steps.lam, 700.0))
-                 for sl in rows[counts > 0, 6].tolist()]
-        out[:n] = v * np.repeat(scale, counts[counts > 0])
-    return out.tolist()
+        used = counts > 0
+        lam = np.array([st.lam for st in steps])[:, None]
+        shift = np.minimum(own[:, used, 2] - lam, 700.0)
+        scale = _map(math.exp, shift.ravel()).reshape(shift.shape)
+        v *= np.repeat(scale, counts[used], axis=1)
+    return out.tobytes()
 
 
 def _substeps(a: float, b: float, k2: float, power: bool) -> int:

@@ -7,9 +7,11 @@ far-field content: phase shifts and DN values are both matched at R_OUTER.
 `phase_shifts`, `dn_spectrum` and `plane_wave_field` read their channels
 from the system's outer-sphere table (`propagate.outer_sphere_solutions`),
 so calls at one (system, E) solve each channel once; a field samples the
-table's step tables, and a channel that the table holds without one is
-marched once more, with steps.  `radial_mode`, at an almost-eigenvalue
-energy of its own, solves directly and leaves the table alone.
+table's step tables, every channel in one kernel `sample` call, and a
+channel that the table holds without one is marched once more, with
+steps.  `radial_mode`, at an almost-eigenvalue energy of its own,
+marches its channel with steps directly, samples it in one call and
+leaves the table alone.
 `dn_spectrum` refuses an energy whose boundary value falls below
 `U_THRESHOLD` in some channel, before it solves any higher channel.  A non-finite E raises DomainError
 and an l_max that is not an integer in [0, L_MAX_SUPPORTED] raises
@@ -35,13 +37,13 @@ from .media import R_OUTER
 from .propagate import (
     ChannelSolution,
     System,
+    _march,
     _sample_radii,
     _sample_u,
     _table_channels,
     checked_l_max,
     outer_sphere_solutions,
     shell_stack,
-    solve_channel,
 )
 from .special import _sph_jy_orders_array, spherical_bessel
 
@@ -210,9 +212,10 @@ def plane_wave_field(system: System, E: float, points,
     shell boundary are evaluated from the inner side.  Channels come from
     the system's outer-sphere table, with the step table of each when some
     point lies inside R_OUTER: one march per channel at (system, E) serves
-    every later field there, and its delta_l at R_OUTER and the free pair
-    there scale the interior samples.  Beyond R_OUTER the field is the
-    free continuation, from j_l and y_l of every order at once
+    every later field there.  One kernel `sample` call evaluates every
+    channel at the interior points, and each channel's delta_l at R_OUTER
+    and the free pair there scale its samples.  Beyond R_OUTER the field
+    is the free continuation, from j_l and y_l of every order at once
     (`special._sph_jy_orders_array`).  Points not shaped (n, 2), a
     negative, NaN or infinite r, or |cos theta| > 1 raise DomainError.
     """
@@ -233,21 +236,23 @@ def plane_wave_field(system: System, E: float, points,
 
     inside = r <= R_OUTER
     r_in = r[inside]
-    order = np.argsort(r_in)
-    sample_r = _sample_radii(r_in[order], shell_stack(system).edges[-1])
     j_out, y_out = _sph_jy_orders_array(l_max, k * r[~inside])
     pl = legendre_values(l_max, mu)
+    sols, steps = zip(*_table_channels(system, E, l_max, r_in.size > 0))
+    if r_in.size:
+        order = np.argsort(r_in)
+        u = np.empty((len(sols), r_in.size))
+        u[:, order] = _sample_u(sols, steps, _sample_radii(
+            r_in[order], shell_stack(system).edges[-1]))
     psi = np.zeros(len(r), dtype=complex)
-    for sol, steps in _table_channels(system, E, l_max, r_in.size > 0):
+    for sol in sols:
         l = sol.l
         d, s = _match_delta(sol, k)
         # the free channel factor e^{i delta}(cos delta j_l - sin delta y_l)
         phase, c, sn = cmath.exp(1j * d), math.cos(d), math.sin(d)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
-            u = np.empty_like(r_in)
-            u[order] = _sample_u(sol, steps, sample_r)
-            radial[inside] = u * (phase * (c * s.j - sn * s.y))
+            radial[inside] = u[l] * (phase * (c * s.j - sn * s.y))
         radial[~inside] = phase * (c * j_out[l] - sn * y_out[l])
         psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
     return psi
@@ -269,10 +274,12 @@ def radial_mode(system: System, l: int, E_star: float,
     if not r_in.size:
         return u
     order = np.argsort(r_in)
-    sol = solve_channel(system, l, E_star, want_norms=False,
-                        sample_r=r_in[order])
+    st = shell_stack(system)
+    sol, steps = _march(st.edges, st.k2(E_star), st.w, l, E_star, False,
+                        True)
     u_in = np.empty_like(r_in)
-    u_in[order] = sol.sample_u
+    u_in[order] = _sample_u([sol], [steps],
+                            _sample_radii(r_in[order], st.edges[-1]))[0]
     u[inside] = u_in
     peak = np.nanmax(np.abs(u_in))
     return u / peak if peak > 0 else u

@@ -25,17 +25,18 @@ with them.  A larger l_max extends the table and a new E replaces it;
 either way a new immutable tuple is published in one store, so threads
 sharing a system never see a half-built table.
 
-A kernel march takes no samples.  `solve_channel(..., sample_r=)` marches
-with `keep_steps` and then evaluates its samples from the step table
-(`_sample_u`, through the kernel's `sample`), as a field does from the
-table's steps.
+A kernel march takes no samples.  A march with `keep_steps` returns its
+step table, and `_sample_u` evaluates the channels of one (system, E)
+from their tables in one call of the kernel's `sample`: a field samples
+every channel of the outer-sphere table at once, and `radial_mode` its
+one channel.
 
 Selects the compiled kernel (`qcloak._kernel`, built from the hand-written C
 source `_kernel.c` by `python setup.py build_ext --inplace`) when it is
 importable and was built from the `_kernel.c` beside it (`_current_build`),
 else the pure-Python twin `qcloak._kernel_py`; set QCLOAK_PURE_PYTHON=1 to
 force the fallback.  Both expose the same entries, `propagate(l, r, k2,
-w, want_norms=True, keep_steps=False)` and `sample(l, steps, sample_r)`,
+w, want_norms=True, keep_steps=False)` and `sample(ls, steps, sample_r)`,
 and are interchangeable; the twin is also the reference the compiled
 kernel is tested against.  A solve keeps the boundary state at r_max and
 nothing per shell: phase shifts and DN values are matched at
@@ -49,7 +50,7 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -221,7 +222,6 @@ class ChannelSolution:
     concentration: float
     zeros: int
     overflow: bool = False
-    sample_u: Optional[tuple] = None   # u(rho)/u(r_max) at sample_r
 
     @property
     def log_derivative_end(self) -> float:
@@ -250,18 +250,14 @@ class ChannelSolution:
         return math.exp(min(self.log_norm_total, 690.0))
 
 
-def _solve(edges, k2, w, l, E, want_norms, sample_r):
+def _solve(edges, k2, w, l, E, want_norms):
     """`solve_channel` on a stack's edges, k^2 at E and weights."""
-    if sample_r is None:
-        return _march(edges, k2, w, l, E, want_norms)[0]
-    sol, steps = _march(edges, k2, w, l, E, want_norms, True)
-    sr = _sample_radii(sample_r, edges[-1])
-    return replace(sol, sample_u=tuple(_sample_u(sol, steps, sr).tolist()))
+    return _march(edges, k2, w, l, E, want_norms)[0]
 
 
 def _march(edges, k2, w, l, E, want_norms, keep_steps=False):
     """(ChannelSolution, the march's step table or None) of one kernel
-    march; the solution has no samples."""
+    march."""
     try:
         _checked_channel_cap(l)
     except ConfigurationError:
@@ -310,22 +306,25 @@ def _sample_radii(sample_r, r_max: float) -> np.ndarray:
     return sr
 
 
-def _sample_u(sol: ChannelSolution, steps, sr: np.ndarray) -> np.ndarray:
-    """u(rho)/u(r_max) at the radii sr of `_sample_radii`, from the step
-    table of the march that gave sol."""
-    if sol.p_end == 0.0:
-        return np.full(len(sr), math.inf)
-    v = _impl.sample(sol.l, steps, sr.tolist())
+def _sample_u(sols: Sequence[ChannelSolution], steps: Sequence,
+              sr: np.ndarray) -> np.ndarray:
+    """u(rho)/u(r_max) of each solution at the radii sr of `_sample_radii`,
+    one row per solution, from the step tables of the marches that gave
+    sols (one system at one E): one kernel `sample` call for them all."""
+    v = np.frombuffer(_impl.sample([sol.l for sol in sols], steps,
+                                   sr.tolist())).reshape(len(sols), len(sr))
+    p_end = np.array([sol.p_end for sol in sols])[:, None]
     # samples below the kernel's start radius were evaluated there, so the
     # u = v/rho conversion uses the same radius; an overflow gives inf
-    # without a warning, as float division did
-    with np.errstate(over="ignore"):
-        return (np.asarray(v, dtype=float) * sol.r_max
-                / (np.maximum(sr, steps.r_eps) * sol.p_end))
+    # without a warning, as float division did, and a channel with
+    # u(r_max) = 0 reads inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = v * sols[0].r_max / (np.maximum(sr, steps[0].r_eps) * p_end)
+    u[p_end[:, 0] == 0.0] = math.inf
+    return u
 
 
-def solve_channel(system: System, l: int, E: float, want_norms: int = True,
-                  sample_r: Optional[Sequence[float]] = None
+def solve_channel(system: System, l: int, E: float, want_norms: int = True
                   ) -> ChannelSolution:
     """Regular solution of channel l at energy E, for every system.
 
@@ -338,12 +337,10 @@ def solve_channel(system: System, l: int, E: float, want_norms: int = True,
     which makes the solve exactly gauge-equivalent to the acoustic one.
 
     want_norms is False, True or CORE_ONLY (the core mass alone, for callers
-    that read only ``log_norm_core``).  With sample_r (sorted ascending;
-    radii are clamped to [0, r_max]) the march keeps its step table and
-    ``sample_u`` is read from it.
+    that read only ``log_norm_core``).
     """
     st = shell_stack(system)
-    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms, sample_r)
+    return _solve(st.edges, st.k2(E), st.w, l, E, want_norms)
 
 
 propagate_acoustic = propagate_schrodinger = solve_channel

@@ -14,8 +14,9 @@ recurrence is normalised by i_0.  The compiled kernel repeats both.
 `spherical_bessel` returns the oscillatory pair and its derivatives; the
 kernels take the pairs from `_sph_jy_pair` and `_sph_ik_pair_scaled`.
 Their array twins `_sph_jy_pair_array` and `_sph_ik_pair_scaled_array`
-evaluate one order at many arguments with the same operations in the same
-order on every element, so each result equals the scalar one bit for bit.
+evaluate many orders at many arguments with the same operations in the
+same order on every (order, element), so each result equals the scalar
+one bit for bit; the orders share one pass (one Miller run for all).
 `_sph_jy_orders_array` gives every order up to l_max at many arguments,
 for the free field beyond the outer sphere, recurring downward from the
 top pair of `_j_pair_below`, the Miller pair both array twins of j_l
@@ -171,9 +172,9 @@ def _sph_ik_pair_scaled(l: int, x: float) -> tuple[float, float, float, float]:
 
 
 # --- array twins ------------------------------------------------------------
-# One order at many arguments: the scalar operations in the scalar order on
-# every element, with each scalar branch taken per element, so each result
-# equals the scalar one bit for bit.  sin, cos and exp stay `math` calls per
+# Many orders at many arguments: the scalar operations in the scalar order
+# on every (order, element), with each scalar branch taken per element, so
+# each result equals the scalar one bit for bit.  sin, cos and exp stay `math` calls per
 # element because numpy's may round differently.  Python float arithmetic
 # overflows to inf without a warning, and so do these.  `_khat_closed` and
 # `_ihat_closed` do not branch on x, so they serve scalars and arrays alike.
@@ -183,73 +184,94 @@ def _map(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
-def _miller_array(l: int, x: np.ndarray, n_start, minus: bool):
+def _miller_array(l, x: np.ndarray, n_start, minus: bool):
     """Unnormalized (f_{l-1}, f_l, f_1, f_0) of the downward recurrence
     f_{n-1} = (2n+1)/x f_n - f_{n+1} (minus, j_l) or + f_{n+1} (scaled
     i_l) from f_{n_start} = 1e-40, f_{n_start+1} = 0, renormalized per
-    element as the scalar loops do; n_start is an int or one start order
-    per element."""
+    element as the scalar loops do.  The order l and the start order
+    n_start are each an int or one per element, so one run serves the
+    elements of many orders."""
     fp = np.zeros_like(x)
     f = np.full_like(x, 1e-40)
-    target = target_m = fp
+    target = np.zeros_like(x)
+    target_m = np.zeros_like(x)
     n_all = int(np.min(n_start))
+    l_lo, l_hi = int(np.min(l)), int(np.max(l))
     for n in range(int(np.max(n_start)), 0, -1):
-        fm = (2 * n + 1) / x * f
-        fm = fm - fp if minus else fm + fp
+        fm = (2 * n + 1) / x
+        fm *= f
+        if minus:
+            fm -= fp
+        else:
+            fm += fp
         if n > n_all:
             # elements whose start order lies below n have not started
             on = n <= n_start
-            fp, f = np.where(on, f, fp), np.where(on, fm, f)
+            np.copyto(fp, f, where=on)
+            np.copyto(f, fm, where=on)
         else:
             fp, f = f, fm
-        if n - 1 == l:
-            target = f
-        if n == l:
-            target_m = f
+        if l_lo <= n - 1 <= l_hi:
+            np.copyto(target, f, where=l == n - 1)
+        if l_lo <= n <= l_hi:
+            np.copyto(target_m, f, where=l == n)
         big = np.abs(f) > _RENORM
         if big.any():
-            f = np.where(big, f / _RENORM, f)
-            fp = np.where(big, fp / _RENORM, fp)
-            target = np.where(big, target / _RENORM, target)
-            target_m = np.where(big, target_m / _RENORM, target_m)
+            for v in (f, fp, target, target_m):
+                np.divide(v, _RENORM, out=v, where=big)
     return target_m, target, fp, f
 
 
-def _sph_jy_pair_array(l: int, x: np.ndarray):
-    """`_sph_jy_pair` over a float array x > 0, bit for bit."""
+def _flat(mask: np.ndarray, *arrays) -> list:
+    """Each array, broadcast to mask's (order, element) grid, at the
+    entries mask selects, in row-major order."""
+    return [np.broadcast_to(a, mask.shape)[mask] for a in arrays]
+
+
+def _put(out: np.ndarray, orders, *rows) -> None:
+    """The four pair members `rows`, one array each, into the orders
+    selected by the mask `orders`."""
+    if orders.any():
+        out[:, orders] = np.array(rows)[:, None]
+
+
+def _sph_jy_pair_array(ls, x: np.ndarray) -> np.ndarray:
+    """`_sph_jy_pair` at each order of ls over a float array x > 0, bit
+    for bit: rows (j_{l-1}, j_l, y_{l-1}, y_l), shape (4, len(ls),
+    x.size).  The orders share sin x, cos x and the upward recurrences,
+    and one Miller run serves every order's elements below its turning
+    point."""
+    ls = np.asarray(ls, dtype=np.int64).reshape(-1)
     sx = _map(math.sin, x)
     cx = _map(math.cos, x)
+    out = np.empty((4, ls.size, x.size))
     with np.errstate(all="ignore"):
         j0 = sx / x
         y0 = -cx / x
-        if l == 0:
-            return cx / x, j0, sx / x, y0
-        j1 = sx / (x * x) - cx / x
-        y1 = -cx / (x * x) - sx / x
-        ym, y = y0, y1
-        for n in range(1, l):
-            ym, y = y, (2 * n + 1) / x * y - ym
-        jm = np.empty_like(x)
-        j = np.empty_like(x)
-        up = x >= l + 1
-        if up.any():
-            xu = x[up]
-            a, b = j0[up], j1[up]
-            for n in range(1, l):
-                a, b = b, (2 * n + 1) / xu * b - a
-            jm[up], j[up] = a, b
-        down = ~up
-        if down.any():
-            jm[down], j[down] = _j_pair_below(l, x[down], sx[down], cx[down])
-    return jm, j, ym, y
+        _put(out, ls == 0, cx / x, j0, sx / x, y0)
+        top = int(ls.max(initial=0))
+        if top:
+            # (j_{n-1}, j_n, y_{n-1}, y_n) upward from n = 1; j only
+            # serves where x >= n + 1
+            jm, j = j0, sx / (x * x) - cx / x
+            ym, y = y0, -cx / (x * x) - sx / x
+            for n in range(1, top + 1):
+                _put(out, ls == n, jm, j, ym, y)
+                jm, j = j, (2 * n + 1) / x * j - jm
+                ym, y = y, (2 * n + 1) / x * y - ym
+        below = (ls[:, None] > 0) & ~(x >= ls[:, None] + 1)
+        if below.any():
+            o, xb, sb, cb = _flat(below, ls[:, None], x, sx, cx)
+            out[0][below], out[1][below] = _j_pair_below(o, xb, sb, cb)
+    return out
 
 
-def _j_pair_below(l: int, x: np.ndarray, sx, cx):
+def _j_pair_below(l, x: np.ndarray, sx, cx):
     """(j_{l-1}, j_l) at a float array 0 < x < l + 1, given sx = sin x and
     cx = cos x: Miller's downward pair, scaled by `_wronskian_scale`, as
-    `_sph_jy_pair` computes it below the turning point.  Inside the
-    callers' errstate."""
-    n_start = l + 18 + int(2.0 * math.sqrt(l))
+    `_sph_jy_pair` computes it below the turning point.  The order l is
+    an int or one per element.  Inside the callers' errstate."""
+    n_start = l + 18 + (2.0 * np.sqrt(l)).astype(np.int64)
     fm1, fl, f1, f0 = _miller_array(l, x, n_start, True)
     scale = _wronskian_scale(x, sx, cx, f1, f0)
     return fm1 * scale, fl * scale
@@ -292,36 +314,45 @@ def _sph_jy_orders_array(l_max: int, x: np.ndarray):
     return j, y
 
 
-def _sph_ik_pair_scaled_array(l: int, x: np.ndarray):
-    """`_sph_ik_pair_scaled` over a float array x > 0, bit for bit."""
+def _sph_ik_pair_scaled_array(ls, x: np.ndarray) -> np.ndarray:
+    """`_sph_ik_pair_scaled` at each order of ls over a float array x > 0,
+    bit for bit: rows (i_{l-1}, i_l, k_{l-1}, k_l), scaled, shape (4,
+    len(ls), x.size).  The orders share the exp maps and each k series,
+    and one Miller run serves every order's elements short of the closed
+    i series."""
+    ls = np.asarray(ls, dtype=np.int64).reshape(-1)
     m2x = -2.0 * x
     e2 = _map(math.exp, m2x)
     em1 = _map(math.expm1, m2x)
+    out = np.empty((4, ls.size, x.size))
+    khat = {}
     with np.errstate(all="ignore"):
         i0 = -em1 / (2.0 * x)
-        im1 = (1.0 + e2) / (2.0 * x)
         k0 = math.pi / (2.0 * x)
-        if l == 0:
-            return im1, i0, k0, k0
-        km = _khat_closed(l - 1, x)
-        k = _khat_closed(l, x)
-        im = np.empty_like(x)
-        i = np.empty_like(x)
-        far = x >= l * (l + 1)
-        if far.any():
-            xf, ef = x[far], e2[far]
-            im[far] = _ihat_closed(l - 1, xf, ef)
-            i[far] = _ihat_closed(l, xf, ef)
-        near = ~far
+        _put(out, ls == 0, (1.0 + e2) / (2.0 * x), i0, k0, k0)
+        near = np.zeros(out.shape[1:], dtype=bool)
+        for o, l in enumerate(ls.tolist()):
+            if l == 0:
+                continue
+            for n in (l - 1, l):
+                if n not in khat:
+                    khat[n] = _khat_closed(n, x)
+            out[2, o], out[3, o] = khat[l - 1], khat[l]
+            far = x >= l * (l + 1)
+            if far.any():
+                xf, ef = x[far], e2[far]
+                out[0, o, far] = _ihat_closed(l - 1, xf, ef)
+                out[1, o, far] = _ihat_closed(l, xf, ef)
+            near[o] = ~far
         if near.any():
-            xn = x[near]
-            top = np.maximum(l, xn)
+            o, xn, i0n = _flat(near, ls[:, None], x, i0)
+            top = np.maximum(o, xn)
             n_start = (top.astype(np.int64) + 20
                        + (2.0 * np.sqrt(top)).astype(np.int64))
-            fm1, fl, _, f0 = _miller_array(l, xn, n_start, False)
-            scale = i0[near] / f0
-            im[near], i[near] = fm1 * scale, fl * scale
-    return im, i, km, k
+            fm1, fl, _, f0 = _miller_array(o, xn, n_start, False)
+            scale = i0n / f0
+            out[0][near], out[1][near] = fm1 * scale, fl * scale
+    return out
 
 
 @dataclass(frozen=True)

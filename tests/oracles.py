@@ -16,7 +16,8 @@ field samples one at a time, which the array pass replaced
 `propagate(..., keep_steps=)` and `sample`); and
 `per_channel_phase_shifts`, `per_channel_dn_spectrum` and
 `per_channel_plane_wave_field`, which solved every channel on its own in
-each call, before the outer-sphere table; and
+each call, before the outer-sphere table (the field, like
+`per_sample_radial_mode`, through `per_sample_solve`); and
 `per_node_mollify_medium` and `per_node_gauge_potential`, the scalar bump
 smoothing (`_SmoothedProfile`) and the per-node loops that the array pass
 replaced, kept verbatim.
@@ -47,7 +48,7 @@ from qcloak.media import (_EDGE_TOL, _G4_NODES, _G4_WEIGHTS, R_OUTER,
 from qcloak.observables import (U_THRESHOLD, DNSpectrum, PhaseShifts,
                                 _far_field_k, _match_delta, legendre_values)
 from qcloak.propagate import (_TINY, AcousticSystem, ChannelSolution, System,
-                              default_l_max, solve_channel)
+                              default_l_max, shell_stack, solve_channel)
 from qcloak.special import L_MAX_SUPPORTED, _sph_jy_orders_array
 from qcloak.spectral import classify
 
@@ -561,13 +562,15 @@ class PerSampleKernel:
         return KernelResult(*res[:5], steps, *res[6:])
 
     @staticmethod
-    def sample(l, steps, sample_r):
-        return per_sample_propagate(l, *steps, sample_r=sample_r).samples
+    def sample(ls, steps, sample_r):
+        return np.array([per_sample_propagate(l, *st, sample_r=sample_r)
+                         .samples for l, st in zip(ls, steps)]).tobytes()
 
 
 def per_sample_solve(kernel, edges, k2, w, l, E, want_norms, sample_r):
     """The former `propagate._solve` on a kernel's march with steps and
-    its `sample`, converting the samples one at a time."""
+    its `sample`, converting the samples one at a time: (the solution, its
+    u(rho)/u(r_max) at sample_r, or None without sample_r)."""
     if l < 0 or l > L_MAX_SUPPORTED:
         raise ConfigurationError(
             f"channel l={l} outside [0, {L_MAX_SUPPORTED}]")
@@ -600,7 +603,7 @@ def per_sample_solve(kernel, edges, k2, w, l, E, want_norms, sample_r):
         # samples below the kernel's start radius were evaluated there, so
         # the u = v/rho conversion must use the same radius
         r_eps = min(1e-6, 0.5 * edges[1])
-        samples = kernel.sample(l, res.steps, samp)
+        samples = np.frombuffer(kernel.sample([l], [res.steps], samp)).tolist()
         sample_u = tuple(
             sv * r_max / (max(sr, r_eps) * res.p3) if res.p3 != 0.0
             else math.inf
@@ -608,8 +611,8 @@ def per_sample_solve(kernel, edges, k2, w, l, E, want_norms, sample_r):
     return ChannelSolution(
         l=l, E=E, r_max=r_max, p_end=res.p3, q_end=res.q3,
         log_norm_core=log_core, log_norm_total=log_total,
-        concentration=conc, zeros=res.zeros, overflow=res.overflow,
-        sample_u=sample_u)
+        concentration=conc, zeros=res.zeros,
+        overflow=res.overflow), sample_u
 
 
 def per_channel_phase_shifts(system: System, E: float,
@@ -645,8 +648,8 @@ def per_channel_dn_spectrum(system: System, E: float,
 def per_channel_plane_wave_field(system: System, E: float, points,
                                  l_max: Optional[int] = None) -> np.ndarray:
     """The former `observables.plane_wave_field`: each call solves every
-    channel with the interior points as samples (`solve_channel`, so a
-    patched `propagate._solve` serves it)."""
+    channel with the interior points as samples (`per_sample_solve` on
+    `PerSampleKernel`)."""
     pts = np.asarray(points, dtype=float)
     r = pts[:, 0]
     mu = pts[:, 1]
@@ -661,19 +664,42 @@ def per_channel_plane_wave_field(system: System, E: float, points,
     j_out, y_out = _sph_jy_orders_array(l_max, k * r[~inside])
     pl = legendre_values(l_max, mu)
     psi = np.zeros(len(r), dtype=complex)
+    st = shell_stack(system)
     for l in range(l_max + 1):
-        sol = solve_channel(system, l, E, want_norms=False,
-                            sample_r=sample_r)
+        sol, sample_u = per_sample_solve(PerSampleKernel, st.edges,
+                                         st.k2(E), st.w, l, E, False,
+                                         sample_r)
         d, s = _match_delta(sol, k)
         phase, c, sn = cmath.exp(1j * d), math.cos(d), math.sin(d)
         radial = np.empty(len(r), dtype=complex)
         if r_in.size:
             u = np.empty_like(r_in)
-            u[order] = sol.sample_u
+            u[order] = sample_u
             radial[inside] = u * (phase * (c * s.j - sn * s.y))
         radial[~inside] = phase * (c * j_out[l] - sn * y_out[l])
         psi += (1j ** l) * (2 * l + 1) * radial * pl[l]
     return psi
+
+
+def per_sample_radial_mode(system: System, l: int, E_star: float,
+                           radii) -> np.ndarray:
+    """The former `observables.radial_mode`: one solve with the radii as
+    samples (`per_sample_solve` on `PerSampleKernel`)."""
+    rr = np.asarray(radii, dtype=float)
+    inside = rr <= R_OUTER
+    u = np.full_like(rr, np.nan)
+    r_in = rr[inside]
+    if not r_in.size:
+        return u
+    order = np.argsort(r_in)
+    st = shell_stack(system)
+    _, sample_u = per_sample_solve(PerSampleKernel, st.edges, st.k2(E_star),
+                                   st.w, l, E_star, False, r_in[order])
+    u_in = np.empty_like(r_in)
+    u_in[order] = sample_u
+    u[inside] = u_in
+    peak = np.nanmax(np.abs(u_in))
+    return u / peak if peak > 0 else u
 
 
 # --- the former scalar mollification: one radius at a time -----------------

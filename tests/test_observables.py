@@ -216,7 +216,7 @@ class TestPlaneWaveField:
         def solve(*args, **kwargs):
             raise AssertionError("solved before the points were checked")
 
-        monkeypatch.setattr(observables, "solve_channel", solve)
+        monkeypatch.setattr(observables, "_table_channels", solve)
         with pytest.raises(DomainError, match=r"\(n, 2\)"):
             qc.plane_wave_field(free_medium, E0, pts, l_max=4)
 
@@ -263,18 +263,17 @@ class TestSampledFieldsBitwise:
         pts = np.column_stack([r, rng.uniform(-1.0, 1.0, r.size)])
         radii = np.concatenate([[0.0, 3.0], rng.uniform(0.0, 3.5, 40)])
 
-        def fields(field):
+        def fields(field, mode):
             out = []
             for c_inn in (-98.5, 1.858, -71.45):
                 system = cloak_builder(1.005, 50, c_inn)
                 out.append(field(system, E0, pts, l_max=12))
-                out.append(qc.radial_mode(system, 0, 0.44738, radii))
+                out.append(mode(system, 0, 0.44738, radii))
             return [a.tobytes() for a in out]
 
-        ours = fields(qc.plane_wave_field)
-        monkeypatch.setattr(propagate, "_solve", lambda *args: oracles.
-                            per_sample_solve(oracles.PerSampleKernel, *args))
-        assert fields(oracles.per_channel_plane_wave_field) == ours
+        ours = fields(qc.plane_wave_field, qc.radial_mode)
+        assert fields(oracles.per_channel_plane_wave_field,
+                      oracles.per_sample_radial_mode) == ours
 
 
 REFERENCE_C_INN = {"pass-through": -98.5, "neumann-trap": -71.45}
@@ -698,6 +697,39 @@ class TestFieldsFromTheTable:
         key, sols, steps = system.__dict__["_outer_table"]
         assert len(sols) == self.L_MAX + 5
         assert steps == (None,) * len(sols)
+
+
+class TestOneSampleCall:
+    """A field samples every channel of its (system, E) in one call of the
+    kernel's `sample`, and `radial_mode` its one channel in one call."""
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_each_field_and_mode_samples_once(self, cloak_builder, backend,
+                                              request, monkeypatch):
+        kernel = (request.getfixturevalue("compiled_kernel")
+                  if backend == "compiled" else _kernel_py)
+        monkeypatch.setattr(propagate, "_impl", kernel)
+        calls = []
+        real = kernel.sample
+
+        def spy(ls, steps, sample_r):
+            calls.append(list(ls))
+            return real(ls, steps, sample_r)
+
+        monkeypatch.setattr(propagate._impl, "sample", spy)
+        system = cloak_builder(1.005, 50, -98.5)
+        pts = TestFieldsFromTheTable().points()
+        channels = list(range(11))
+        qc.plane_wave_field(system, E0, pts, l_max=10)
+        assert calls == [channels]
+        # a warm field marches nothing and still samples once
+        qc.plane_wave_field(system, E0, pts[::2], l_max=10)
+        assert calls == [channels] * 2
+        # an exterior-only field samples nothing
+        qc.plane_wave_field(system, E0, [[4.0, 0.5]], l_max=10)
+        assert calls == [channels] * 2
+        qc.radial_mode(system, 3, 0.44738, np.linspace(0.0, 3.0, 50))
+        assert calls == [channels] * 2 + [[3]]
 
 
 class TestLegendre:

@@ -16,7 +16,8 @@ from qcloak.errors import ConfigurationError, DomainError
 from qcloak.media import (R_OUTER, attach_core, gauge_potential,
                           mollify_medium)
 from qcloak.observables import free_dn_spectrum
-from qcloak.propagate import CORE_ONLY, _solve, shell_stack
+from qcloak.propagate import (CORE_ONLY, _march, _sample_radii, _sample_u,
+                              _solve, shell_stack)
 from qcloak.special import L_MAX_SUPPORTED
 
 import oracles
@@ -26,8 +27,9 @@ E0 = 0.5
 
 @st.composite
 def kernel_stacks(draw):
-    """(l, r, k2, w, sample_r) of a kernel `propagate` call on a random
-    shell stack."""
+    """(ls, r, k2, w, sample_r) of kernel `propagate` calls on a random
+    shell stack, one per channel of ls, and of one `sample` call for them
+    all."""
     n = draw(st.integers(1, 10))
     widths = draw(st.lists(st.floats(0.02, 0.6), min_size=n, max_size=n))
     edges = [0.0]
@@ -43,11 +45,15 @@ def kernel_stacks(draw):
     w = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0, 2.0, 8.0]),
                       min_size=n, max_size=n))
     r_max = edges[-1]
-    sample_r = draw(st.none() | st.lists(
+    # radii below the start radius, on every edge and beyond the last
+    # substep (which ends at r_max + 1e-15) too; the list may be empty
+    sample_r = draw(st.lists(
         st.floats(0.0, r_max) | st.sampled_from(
-            [0.0, 1e-9, _kernel_py._EPS_ORIGIN, r_max]),
+            [0.0, 1e-9, _kernel_py._EPS_ORIGIN, r_max + 0.5, *edges]),
         max_size=12).map(sorted))
-    return draw(st.integers(0, 60)), edges, k2, w, sample_r
+    ls = draw(st.lists(st.integers(0, 60) | st.just(60), min_size=1,
+                       max_size=4))
+    return ls, edges, k2, w, sample_r
 
 
 def assert_kernels_agree(a, b):
@@ -62,19 +68,31 @@ def assert_kernels_agree(a, b):
     assert hexed(a) == hexed(b)
 
 
-def assert_split_kernels_agree(kernel, l, r, k2, w, want_norms, sample_r):
-    """`kernel` (compiled) and the twin give the same march, step table and
-    samples bit for bit; the march without steps gives the same results."""
-    ours = _kernel_py.propagate(l, r, k2, w, want_norms=want_norms,
-                                keep_steps=True)
-    assert_kernels_agree(kernel.propagate(l, r, k2, w, want_norms=want_norms,
-                                          keep_steps=True), ours)
-    assert_kernels_agree(kernel.propagate(l, r, k2, w, want_norms=want_norms),
-                         ours._replace(steps=None))
-    if sample_r is not None:
-        assert bits(kernel.sample(l, ours.steps, sample_r)) == \
-            bits(_kernel_py.sample(l, ours.steps, sample_r))
-    return ours
+def sample_rows(kernel, ls, steps, sample_r) -> list:
+    """`kernel.sample`'s values as one list per channel of ls; the bytes
+    must hold exactly len(ls) rows of len(sample_r) float64."""
+    raw = kernel.sample(ls, steps, sample_r)
+    assert isinstance(raw, bytes) and len(raw) == 8 * len(ls) * len(sample_r)
+    return np.frombuffer(raw).reshape(len(ls), len(sample_r)).tolist()
+
+
+def assert_split_kernels_agree(kernel, ls, r, k2, w, want_norms, sample_r):
+    """`kernel` (compiled) and the twin give the same march and step table
+    of each channel of ls, and the same samples of them all from one
+    `sample` call, bit for bit; the march without steps gives the same
+    results.  Returns the twin's marches and samples."""
+    ours = [_kernel_py.propagate(l, r, k2, w, want_norms=want_norms,
+                                 keep_steps=True) for l in ls]
+    for l, res in zip(ls, ours):
+        assert_kernels_agree(kernel.propagate(
+            l, r, k2, w, want_norms=want_norms, keep_steps=True), res)
+        assert_kernels_agree(kernel.propagate(
+            l, r, k2, w, want_norms=want_norms), res._replace(steps=None))
+    steps = [res.steps for res in ours]
+    samples = sample_rows(_kernel_py, ls, steps, sample_r)
+    theirs = sample_rows(kernel, ls, steps, sample_r)
+    assert [bits(v) for v in theirs] == [bits(v) for v in samples]
+    return ours, samples
 
 
 @st.composite
@@ -266,7 +284,7 @@ class TestOracleEquivalence:
             k2 = list(rng.uniform(-40.0, 40.0, n))
             w = list(rng.uniform(0.2, 5.0, n - 1)) + [1.0]
             for l in (0, 2, 6):
-                sol = _solve(edges, k2, w, l, E0, False, None)
+                sol = _solve(edges, k2, w, l, E0, False)
                 got = sol.log_derivative_end
                 ref = oracles.layered_log_derivative(edges, k2, w, l)
                 assert got == pytest.approx(ref, rel=1e-7, abs=1e-9)
@@ -401,9 +419,8 @@ class TestKernelInternals:
             k2 = list(rng.uniform(-80.0, 40.0, n))
             w = list(rng.uniform(0.1, 8.0, n - 1)) + [1.0]
             samp = list(np.linspace(0.05, 3.0, 13))
-            for l in (0, 3, 11):
-                assert_split_kernels_agree(compiled_kernel, l, edges, k2, w,
-                                           True, samp)
+            assert_split_kernels_agree(compiled_kernel, [0, 3, 11], edges,
+                                       k2, w, True, samp)
 
     def test_compiled_matches_python_on_reference_cloaks(
             self, compiled_kernel, cloak_builder):
@@ -426,13 +443,17 @@ class TestKernelInternals:
     @given(args=kernel_stacks())
     def test_compiled_matches_python_on_random_stacks(self, compiled_kernel,
                                                       args):
-        l, r, k2, w, sample_r = args
+        ls, r, k2, w, sample_r = args
         for want_norms in (False, True, CORE_ONLY):
-            ours = assert_split_kernels_agree(compiled_kernel, l, r, k2, w,
-                                              want_norms, sample_r)
-        # v starts positive and every zero flips its sign
-        if ours.p3 != 0.0 and math.isfinite(ours.p3):
-            assert (ours.p3 < 0.0) == (ours.zeros % 2 == 1)
+            ours, samples = assert_split_kernels_agree(
+                compiled_kernel, ls, r, k2, w, want_norms, sample_r)
+        for l, res, v in zip(ls, ours, samples):
+            # each channel's samples are those of the former march
+            assert bits(v) == bits(oracles.per_sample_propagate(
+                l, r, k2, w, False, sample_r).samples)
+            # v starts positive and every zero flips its sign
+            if res.p3 != 0.0 and math.isfinite(res.p3):
+                assert (res.p3 < 0.0) == (res.zeros % 2 == 1)
 
     def test_compiled_matches_python_on_a_seeded_sweep(self,
                                                        compiled_kernel):
@@ -450,7 +471,7 @@ class TestKernelInternals:
                                    rng.uniform(-1e-15, 1e-15, n)))
             w = rng.choice([0.1, 0.5, 1.0, 2.0, 8.0], n)
             sample_r = np.sort(rng.uniform(0.0, r[-1], rng.integers(0, 13)))
-            args = (int(rng.integers(0, 61)), r.tolist(), k2.tolist(),
+            args = ([int(rng.integers(0, 61))], r.tolist(), k2.tolist(),
                     w.tolist())
             for want_norms in (False, True, CORE_ONLY):
                 assert_split_kernels_agree(compiled_kernel, *args, want_norms,
@@ -525,8 +546,8 @@ class TestCoreOnlyNorms:
                   if backend == "compiled" else _kernel_py)
         monkeypatch.setattr(propagate, "_impl", kernel)
         edges, k2, w = oracles.overflowing_stack()
-        full = _solve(edges, k2, w, 0, E0, True, None)
-        core = _solve(edges, k2, w, 0, E0, CORE_ONLY, None)
+        full = _solve(edges, k2, w, 0, E0, True)
+        core = _solve(edges, k2, w, 0, E0, CORE_ONLY)
         assert full.overflow and core.overflow
         assert core.log_norm_core > 500.0
         assert core.log_norm_core == pytest.approx(full.log_norm_core,
@@ -548,6 +569,17 @@ def sample_radii(edges) -> list:
     at r_max and on a grid between."""
     return sorted({0.0, *edges, *(e + 1e-15 for e in edges[:-1]),
                    *np.linspace(0.0, edges[-1], 61).tolist()})
+
+
+def sampled_solves(system, ls, E, want_norms, samp) -> list:
+    """(solution, u(rho)/u(r_max) at samp) of each channel of ls at E:
+    each channel marched with steps and all sampled in one kernel call,
+    as `plane_wave_field` and `radial_mode` do."""
+    st = shell_stack(system)
+    sols, steps = zip(*(_march(st.edges, st.k2(E), st.w, l, E, want_norms,
+                               True) for l in ls))
+    u = _sample_u(sols, steps, _sample_radii(samp, st.edges[-1]))
+    return [(sol, tuple(row.tolist())) for sol, row in zip(sols, u)]
 
 
 def outcome(f, *args) -> bytes:
@@ -576,21 +608,25 @@ class TestSampleArrayPass:
     twin) or one loop (C), equal the former evaluation inside the march,
     one `_Local.eval` call per sample, bit for bit."""
 
+    CHANNELS = (0, 1, 4, 12, 25)
+
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(args=kernel_stacks())
     def test_python_kernel_matches_per_sample_march(self, args):
         # the compiled kernel's steps and samples equal the twin's
         # (`assert_split_kernels_agree`)
-        l, r, k2, w, sample_r = args
+        ls, r, k2, w, sample_r = args
         for want_norms in (False, True):
-            res = _kernel_py.propagate(l, r, k2, w, want_norms=want_norms,
-                                       keep_steps=True)
-            samples = (None if sample_r is None
-                       else _kernel_py.sample(l, res.steps, sample_r))
-            assert pickle.dumps(oracles.SampledResult(
-                *res[:5], samples, *res[6:])) == pickle.dumps(
-                    oracles.per_sample_propagate(l, r, k2, w, want_norms,
-                                                 sample_r))
+            marches = [_kernel_py.propagate(l, r, k2, w,
+                                            want_norms=want_norms,
+                                            keep_steps=True) for l in ls]
+            samples = sample_rows(_kernel_py, ls,
+                                  [res.steps for res in marches], sample_r)
+            for l, res, v in zip(ls, marches, samples):
+                assert pickle.dumps(oracles.SampledResult(
+                    *res[:5], v, *res[6:])) == pickle.dumps(
+                        oracles.per_sample_propagate(l, r, k2, w, want_norms,
+                                                     sample_r))
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     def test_solves_pickle_identical(self, sampled_systems, backend,
@@ -607,15 +643,89 @@ class TestSampleArrayPass:
             # radii below 0 are clamped to it; -0.0 keeps its sign
             samp = [-0.5, -0.0] + sample_radii(stack.edges)
             for E in (0.3, E0, 2.0):
-                for l in (0, 1, 4, 12, 25):
-                    for want_norms in (False, True):
-                        ours = outcome(qc.solve_channel, system, l, E,
-                                       want_norms, samp)
-                        assert ours == outcome(
-                            oracles.per_sample_solve,
+                for want_norms in (False, True):
+                    # the channels in one sample call, each against its
+                    # former solve
+                    ours = outcome(sampled_solves, system, self.CHANNELS, E,
+                                   want_norms, samp)
+                    assert ours == outcome(lambda: [
+                        oracles.per_sample_solve(
                             oracles.PerSampleKernel, stack.edges,
-                            stack.k2(E), stack.w, l, E, want_norms, samp), \
-                            (name, E, l, want_norms)
+                            stack.k2(E), stack.w, l, E, want_norms, samp)
+                        for l in self.CHANNELS]), (name, E, want_norms)
+
+
+class TestSampleEntry:
+    """The kernels' one sampling entry, `sample(ls, steps, sample_r)`:
+    every channel of one march family (one stack at one E) in one call,
+    each channel's values those of the former march, bit for bit."""
+
+    # an oscillatory, an evanescent, a power-law (|k2| b (b - a) < 1e-14)
+    # and two more shells, with weight jumps
+    R = [0.0, 0.4, 1.0, 1.7, 2.5, 3.0]
+    K2 = [12.0, -30.0, 1e-16, 3.0, -0.5]
+    W = [1.0, 2.0, 2.0, 0.5, 1.0]
+
+    def kernel(self, backend, request):
+        return (request.getfixturevalue("compiled_kernel")
+                if backend == "compiled" else _kernel_py)
+
+    def steps(self, kernel, l, k2=None):
+        return kernel.propagate(l, self.R, k2 or self.K2, self.W, False,
+                                True).steps
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_channels_up_to_60_in_one_call(self, backend, request):
+        kernel = self.kernel(backend, request)
+        # repeated and unsorted channels too
+        ls = list(range(60, -1, -4)) + [60, 1, 0]
+        steps = [self.steps(kernel, l) for l in ls]
+        rows = np.frombuffer(steps[0].rows).reshape(-1, _kernel_py.STEP_COLS)
+        assert set(rows[:, 1].tolist()) == {-1.0, 0.0, 1.0}
+        r_eps = steps[0].r_eps
+        # below the start radius, on every edge, just past each substep's
+        # end and beyond the last substep
+        samp = sorted({0.0, 1e-9, 0.5 * r_eps, r_eps, *self.R,
+                       *(rows[:, 0] + 1e-15).tolist(), 3.0 + 1e-14, 3.5,
+                       *np.linspace(0.0, 3.0, 31).tolist()})
+        got = sample_rows(kernel, ls, steps, samp)
+        for l, v in zip(ls, got):
+            assert bits(v) == bits(oracles.per_sample_propagate(
+                l, self.R, self.K2, self.W, False, samp).samples), l
+            assert v[-2:] == [0.0, 0.0]
+        assert [bits(v) for v in got] == [
+            bits(v) for v in sample_rows(_kernel_py, ls, steps, samp)]
+        # one channel alone, no radii, no channels
+        assert bits(sample_rows(kernel, [ls[3]], [steps[3]], samp)[0]) == \
+            bits(got[3])
+        assert kernel.sample(ls, steps, []) == b""
+        assert kernel.sample([], [], samp) == b""
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_tables_of_other_marches_raise(self, backend, request):
+        kernel = self.kernel(backend, request)
+        a, b = self.steps(kernel, 2), self.steps(kernel, 5)
+        # another energy: as many substeps, other wavenumbers
+        other_E = self.steps(kernel, 5, [x * (1.0 + 1e-9) for x in self.K2])
+        assert len(other_E.rows) == len(a.rows)
+        shorter = kernel.propagate(5, self.R[:-1], self.K2[:-1], self.W[:-1],
+                                   False, True).steps
+        cases = [([2, 5], [a, other_E]), ([2, 5], [a, shorter]),
+                 ([2, 5], [shorter, a]), ([2, 5], [a]), ([2], [a, b]),
+                 ([], [a]), ([-1], [a])]
+        rows = np.frombuffer(b.rows).reshape(-1, _kernel_py.STEP_COLS)
+        for col in range(4):            # end, kind, k, start of one row
+            moved = rows.copy()
+            moved[-1, col] += 0.5
+            cases.append(([2, 5], [a, b._replace(rows=moved.tobytes())]))
+        for ls, steps in cases:
+            with pytest.raises(ValueError):
+                kernel.sample(ls, steps, [0.5, 1.0])
+        # A, B and the log scales are the channel's own
+        moved = rows.copy()
+        moved[:, 4:] *= 2.0
+        kernel.sample([2, 5], [a, b._replace(rows=moved.tobytes(),
+                                              lam=b.lam + 1.0)], [0.5, 1.0])
 
 
 class TestRegularStart:
@@ -667,9 +777,9 @@ class TestRegularStart:
             stack = shell_stack(system)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                ours = qc.solve_channel(system, l, E0, True, samp)
-            assert all(math.isfinite(u) for u in ours.sample_u)
-            assert ours.sample_u[-1] == pytest.approx(1.0, rel=1e-12)
+                (ours,) = sampled_solves(system, [l], E0, True, samp)
+            assert all(math.isfinite(u) for u in ours[1])
+            assert ours[1][-1] == pytest.approx(1.0, rel=1e-12)
             assert pickle.dumps(ours) == pickle.dumps(oracles.per_sample_solve(
                 oracles.PerSampleKernel, stack.edges, stack.k2(E0),
                 stack.w, l, E0, True, samp))
@@ -766,10 +876,9 @@ class TestValidation:
         assert math.isfinite(qc.propagate_acoustic(free_medium, 40,
                                                    1e-12).p_end)
 
-    def test_unsorted_samples_rejected(self, free_medium):
-        with pytest.raises(DomainError):
-            qc.propagate_acoustic(free_medium, 0, E0,
-                                  sample_r=[2.0, 1.0])
+    def test_unsorted_samples_rejected(self):
+        with pytest.raises(DomainError, match="sorted"):
+            _sample_radii([2.0, 1.0], 3.0)
 
     @pytest.mark.parametrize("backend", ["python", "compiled"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -790,9 +899,8 @@ class TestValidation:
             qc.default_l_max(bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_samples_rejected(self, free_medium, bad):
+    def test_nonfinite_samples_rejected(self, bad):
         # a NaN radius would stall the kernel's sample cursor, leaving
         # every later sample at 0
         with pytest.raises(DomainError, match="finite"):
-            qc.solve_channel(free_medium, 0, E0, want_norms=False,
-                             sample_r=[bad, 1.0, 2.0])
+            _sample_radii([bad, 1.0, 2.0], 3.0)

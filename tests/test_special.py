@@ -75,16 +75,21 @@ def branch_points(l: int) -> list:
     return pts
 
 
-def assert_twin_bits(l: int, xs: list) -> None:
-    """Both array twins equal their scalar pairs element by element, bit
-    for bit."""
+def assert_twin_bits(ls, xs: list) -> None:
+    """Both array twins, called once for the orders ls (an int is one
+    order), equal their scalar pairs at every order and element, bit for
+    bit."""
+    ls = [ls] if isinstance(ls, int) else ls
     x = np.array(xs)
     for scalar, twin in ((_sph_jy_pair, _sph_jy_pair_array),
                          (_sph_ik_pair_scaled, _sph_ik_pair_scaled_array)):
-        arrays = twin(l, x)
-        for e, xe in enumerate(xs):
-            assert [float(a[e]).hex() for a in arrays] == \
-                [v.hex() for v in scalar(l, xe)], (scalar.__name__, l, xe)
+        arrays = twin(ls, x)
+        assert arrays.shape == (4, len(ls), len(xs))
+        for o, l in enumerate(ls):
+            for e, xe in enumerate(xs):
+                assert [float(a[o, e]).hex() for a in arrays] == \
+                    [v.hex() for v in scalar(l, xe)], (scalar.__name__, l,
+                                                       xe)
 
 
 @pytest.mark.parametrize("l", range(qc.special.L_MAX_SUPPORTED + 1))
@@ -100,7 +105,7 @@ def test_array_twins_at_branch_points(l):
     # relative error means nothing once j_l leaves the normal range
     normal = np.abs(ref) > 1e-290
     for j in (np.array([spherical_bessel(l, x).j for x in xs]),
-              _sph_jy_pair_array(l, np.array(xs))[1]):
+              _sph_jy_pair_array([l], np.array(xs))[1, 0]):
         assert np.all(np.abs(j - ref)[normal]
                       <= 1e-12 * np.abs(ref[normal]))
 
@@ -114,6 +119,26 @@ def test_array_twins_equal_the_scalar_pairs(data, l):
         st.floats(1e-7, 4000.0) | st.floats(1e-7, 1e-5)
         | st.sampled_from(branch_points(l)), min_size=1, max_size=24))
     assert_twin_bits(l, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_array_twins_share_one_pass_over_many_orders(data):
+    # one call for several orders, repeated and unsorted ones included:
+    # the shared upward recurrences and one Miller run over every order's
+    # elements give each order's scalar values
+    ls = data.draw(st.lists(st.integers(0, qc.special.L_MAX_SUPPORTED),
+                            min_size=1, max_size=6))
+    xs = data.draw(st.lists(
+        st.floats(1e-7, 4000.0) | st.floats(1e-7, 1e-5)
+        | st.sampled_from(branch_points(max(ls))), min_size=1, max_size=16))
+    assert_twin_bits(ls, xs)
+
+
+def test_array_twins_take_no_orders():
+    x = np.array([0.5, 2.0])
+    for twin in (_sph_jy_pair_array, _sph_ik_pair_scaled_array):
+        assert twin([], x).shape == (4, 0, 2)
 
 
 def test_all_orders_against_scipy():
